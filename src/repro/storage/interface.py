@@ -14,7 +14,13 @@ from dataclasses import dataclass, field
 
 @dataclass
 class IOStats:
-    """Physical I/O counters, accumulated per store instance."""
+    """I/O counters, accumulated per store instance.
+
+    Stores that read through their own buffers count physical reads.  The
+    LSM's SSTable runs are memory-mapped, so the OS page cache is their only
+    block cache and they count *logical* block reads instead: one seek plus
+    the block's bytes for every block a get or scan enters, cached or not.
+    """
 
     pages_read: int = 0
     pages_written: int = 0

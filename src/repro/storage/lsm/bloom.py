@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
-from typing import Iterable
+from typing import Tuple
 
 
 class BloomFilter:
@@ -30,21 +30,29 @@ class BloomFilter:
         num_hashes = max(1, round(num_bits / n_items * math.log(2)))
         return BloomFilter(num_bits, num_hashes)
 
-    def _positions(self, key: bytes) -> Iterable[int]:
+    def _hashes(self, key: bytes) -> Tuple[int, int]:
+        """Double-hashing seeds: bit ``i`` of a key is ``(h1 + i * h2) % num_bits``."""
         digest = hashlib.blake2b(key, digest_size=16).digest()
         # lint: disable=codec-pair — the pack side is the blake2b digest itself; there is no writer half to pair with
-        h1, h2 = struct.unpack(">QQ", digest)
-        for i in range(self.num_hashes):
-            yield (h1 + i * h2) % self.num_bits
+        return struct.unpack(">QQ", digest)
 
     def add(self, key: bytes) -> None:
-        for pos in self._positions(key):
-            self._bits[pos >> 3] |= 1 << (pos & 7)
+        h1, h2 = self._hashes(key)
+        bits, num_bits = self._bits, self.num_bits
+        for _ in range(self.num_hashes):
+            pos = h1 % num_bits
+            bits[pos >> 3] |= 1 << (pos & 7)
+            h1 += h2
 
     def __contains__(self, key: bytes) -> bool:
-        return all(
-            self._bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(key)
-        )
+        h1, h2 = self._hashes(key)
+        bits, num_bits = self._bits, self.num_bits
+        for _ in range(self.num_hashes):
+            pos = h1 % num_bits
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+            h1 += h2
+        return True
 
     # -- serialisation -------------------------------------------------------
 

@@ -63,5 +63,10 @@ def compact(
     stats: Optional[IOStats] = None,
     drop: Optional[DropPredicate] = None,
 ) -> SSTable:
-    """Merge all runs (newest first) into one new SSTable."""
-    return write_sstable(output_path, merge_runs(tables, drop, stats), stats)
+    """Merge all runs (newest first) into one new SSTable.
+
+    A full merge sees every run, so tombstones have shadowed all the data
+    they can shadow and are dropped for good.
+    """
+    live = (entry for entry in merge_runs(tables, drop, stats) if entry[1] != TOMBSTONE)
+    return write_sstable(output_path, live, stats)

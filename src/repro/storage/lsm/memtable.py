@@ -12,21 +12,20 @@ class MemTable:
     def __init__(self):
         self._keys: List[bytes] = []
         self._values: List[bytes] = []
+        self.byte_size = 0  # running sum of key and value lengths
 
     def __len__(self) -> int:
         return len(self._keys)
 
-    @property
-    def byte_size(self) -> int:
-        return sum(len(k) + len(v) for k, v in zip(self._keys, self._values))
-
     def put(self, key: bytes, value: bytes) -> None:
         i = bisect_left(self._keys, key)
         if i < len(self._keys) and self._keys[i] == key:
+            self.byte_size += len(value) - len(self._values[i])
             self._values[i] = value
         else:
             self._keys.insert(i, key)
             self._values.insert(i, value)
+            self.byte_size += len(key) + len(value)
 
     def get(self, key: bytes) -> Optional[bytes]:
         i = bisect_left(self._keys, key)
@@ -46,3 +45,4 @@ class MemTable:
     def clear(self) -> None:
         self._keys.clear()
         self._values.clear()
+        self.byte_size = 0

@@ -6,18 +6,25 @@ Layout::
 
 Blocks hold consecutive fixed-size records (16-byte key + 16-byte value).
 The sparse index maps each block's first key to its offset, so a point
-lookup is: bloom check -> binary search of the in-memory index -> one block
-read -> binary search within the block.  Range scans start at the block
+lookup is: bloom check -> binary search of the in-memory index -> binary
+search within one block's records.  Range scans start at the block
 containing ``lo`` and read forward.  Exactly the access profile §5.2 wants:
 co-located timestamp runs for benchmark scans, single-block point gets.
+
+A run is read through a read-only memory map: records are sliced straight
+out of it, so the OS page cache is the block cache and concurrent readers
+share no file position.  With no cache in user space, ``IOStats`` counts
+logical block reads: a get that passes the bloom and lands in a block
+counts one seek plus that block's bytes, a get the bloom rejects counts
+nothing, and ``range``/``items`` count the same for every block they enter.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
-from collections import OrderedDict
 import struct
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ..interface import IOStats
@@ -88,32 +95,30 @@ class SSTable:
     def __init__(self, path: str, stats: Optional[IOStats] = None):
         self.path = path
         self.stats = stats if stats is not None else IOStats()
-        self._file = open(path, "rb")
-        self._file.seek(-_FOOTER.size, os.SEEK_END)
-        footer = self._file.read(_FOOTER.size)
+        with open(path, "rb") as handle:
+            self._map = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
         bloom_off, index_off, self.num_records, n_blocks, magic = _FOOTER.unpack(
-            footer
+            self._map[-_FOOTER.size :]
         )
         if magic != _MAGIC:
             raise ValueError(f"{path} is not an SSTable")
-        self._file.seek(bloom_off)
-        (bloom_len,) = struct.unpack(">I", self._file.read(4))
-        self.bloom = BloomFilter.from_bytes(self._file.read(bloom_len))
-        self._file.seek(index_off)
-        self._index_keys: List[bytes] = []
-        self._index_offsets: List[int] = []
-        for _ in range(n_blocks):
-            self._index_keys.append(self._file.read(KEY_SIZE))
-            (offset,) = struct.unpack(">Q", self._file.read(8))
-            self._index_offsets.append(offset)
-        self._data_end = bloom_off
-        # Decoded-block cache: SSTables are immutable, so cached blocks can
-        # never go stale.  Point-heavy phases (HWMT, validation) hit the
-        # same hot blocks repeatedly.
-        self._block_cache: "OrderedDict[int, List[Tuple[bytes, bytes]]]" = (
-            OrderedDict()
+        (bloom_len,) = struct.unpack(">I", self._map[bloom_off : bloom_off + 4])
+        self.bloom = BloomFilter.from_bytes(
+            self._map[bloom_off + 4 : bloom_off + 4 + bloom_len]
         )
-        self._block_cache_limit = 128
+        entries = range(index_off, index_off + n_blocks * (KEY_SIZE + 8), KEY_SIZE + 8)
+        self._index_keys = [self._map[at : at + KEY_SIZE] for at in entries]
+        offsets = [
+            struct.unpack(">Q", self._map[at + KEY_SIZE : at + KEY_SIZE + 8])[0]
+            for at in entries
+        ]
+        # Records are fixed-size and the blocks contiguous, so block b starts
+        # at b * BLOCK_SIZE and a get can slice it without an offset table.
+        self._data_end = self.num_records * RECORD_SIZE
+        if bloom_off != self._data_end or offsets != list(
+            range(0, self._data_end, BLOCK_SIZE)
+        ):
+            raise ValueError(f"{path}: blocks are not contiguous fixed-size records")
 
     # -- reads ---------------------------------------------------------------
 
@@ -123,70 +128,60 @@ class SSTable:
 
     @property
     def max_key(self) -> Optional[bytes]:
-        if not self._index_keys:
+        if not self.num_records:
             return None
-        records = self._read_block(len(self._index_keys) - 1)
-        return records[-1][0]
+        return self._map[self._data_end - RECORD_SIZE : self._data_end - KEY_SIZE]
+
+    def _enter_block(self, block_no: int) -> Tuple[int, int]:
+        """Byte span ``[start, end)`` of one block, counted as one block read."""
+        start = block_no * BLOCK_SIZE
+        end = min(start + BLOCK_SIZE, self._data_end)
+        self.stats.seeks += 1
+        self.stats.bytes_read += end - start
+        return start, end
 
     def get(self, key: bytes) -> Optional[bytes]:
-        """Point lookup (bloom-checked)."""
-        if not self._index_keys or key not in self.bloom:
+        """Point lookup (bloom-checked): binary search within one block."""
+        if key not in self.bloom:
             return None
         block_no = bisect_right(self._index_keys, key) - 1
         if block_no < 0:
             return None
-        records = self._read_block(block_no)
-        keys = [k for k, _ in records]
-        i = bisect_left(keys, key)
-        if i < len(keys) and keys[i] == key:
-            return records[i][1]
+        start, end = self._enter_block(block_no)
+        data = self._map
+        lo, hi = 0, (end - start) // RECORD_SIZE
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            offset = start + mid * RECORD_SIZE
+            probe = data[offset : offset + KEY_SIZE]
+            if probe < key:
+                lo = mid + 1
+            elif probe > key:
+                hi = mid
+            else:
+                return data[offset + KEY_SIZE : offset + RECORD_SIZE]
         return None
 
     def range(self, lo: bytes, hi: bytes) -> Iterator[Tuple[bytes, bytes]]:
         """Yield entries with ``lo <= key <= hi`` in key order."""
-        if not self._index_keys:
-            return
-        block_no = max(0, bisect_right(self._index_keys, lo) - 1)
-        while block_no < len(self._index_keys):
-            for key, value in self._read_block(block_no):
-                if key < lo:
-                    continue
-                if key > hi:
-                    return
+        for key, value in self._scan(max(0, bisect_right(self._index_keys, lo) - 1)):
+            if key > hi:
+                return
+            if key >= lo:
                 yield key, value
-            block_no += 1
 
     def items(self) -> Iterator[Tuple[bytes, bytes]]:
-        for block_no in range(len(self._index_keys)):
-            yield from self._read_block(block_no)
+        return self._scan(0)
 
-    def _read_block(self, block_no: int) -> List[Tuple[bytes, bytes]]:
-        cached = self._block_cache.get(block_no)
-        if cached is not None:
-            self._block_cache.move_to_end(block_no)
-            return cached
-        start = self._index_offsets[block_no]
-        end = (
-            self._index_offsets[block_no + 1]
-            if block_no + 1 < len(self._index_offsets)
-            else self._data_end
-        )
-        self._file.seek(start)
-        data = self._file.read(end - start)
-        self.stats.seeks += 1
-        self.stats.bytes_read += len(data)
-        records = []
-        for offset in range(0, len(data), RECORD_SIZE):
-            records.append(
-                (
-                    data[offset : offset + KEY_SIZE],
-                    data[offset + KEY_SIZE : offset + RECORD_SIZE],
-                )
-            )
-        self._block_cache[block_no] = records
-        while len(self._block_cache) > self._block_cache_limit:
-            self._block_cache.popitem(last=False)
-        return records
+    def _scan(self, first_block: int) -> Iterator[Tuple[bytes, bytes]]:
+        """Every record from the start of ``first_block`` on, in key order."""
+        data = self._map
+        for block_no in range(first_block, len(self._index_keys)):
+            start, end = self._enter_block(block_no)
+            for offset in range(start, end, RECORD_SIZE):
+                yield data[offset : offset + KEY_SIZE], data[
+                    offset + KEY_SIZE : offset + RECORD_SIZE
+                ]
 
     def close(self) -> None:
-        self._file.close()
+        self._map.close()

@@ -157,24 +157,8 @@ class LSMTree:
             return
         path = self._run_path(self._next_run)
         self._next_run += 1
-        # A full merge sees every run, so tombstones have shadowed all the
-        # data they can shadow and are dropped for good — and retention's
-        # drop predicate may discard aged rows outright.
-        from .compaction import merge_runs
-        from .sstable import write_sstable
-
         written_before = self.stats.bytes_written
-        merged = write_sstable(
-            path,
-            (
-                (key, value)
-                for key, value in merge_runs(
-                    self._runs, self._drop_predicate, self.stats
-                )
-                if value != TOMBSTONE
-            ),
-            self.stats,
-        )
+        merged = compact(self._runs, path, self.stats, self._drop_predicate)
         _COMPACTIONS.inc()
         _COMPACTION_BYTES.inc(self.stats.bytes_written - written_before)
         # Crash here and the reopened tree sees the merged run (newest)

@@ -1,11 +1,15 @@
 """LSM tree and its components: bloom, memtable, WAL, SSTable, compaction."""
 
 import os
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.storage.interface import IOStats
 from repro.storage.lsm import (
     BloomFilter,
     LSMTree,
@@ -48,6 +52,16 @@ class TestBloomFilter:
         assert b"x" * 16 in restored
         assert b"y" * 16 not in restored or b"y" * 16 in bloom  # determinism
 
+    def test_bit_positions_are_pinned(self):
+        """SSTables on disk carry these bits: the hashing must never move them."""
+        bloom = BloomFilter.with_capacity(40)
+        for i in range(40):
+            bloom.add(encode_key(i // 8, i % 8))
+        assert bloom.to_bytes().hex() == (
+            "0000017f000000074329ea3439aaf51c8f83fae6e26ff3f62af1c836829bd719"
+            "c47549bbe911032696c403d3da33e9f72cf0f823f7d9ca49"
+        )
+
 
 class TestMemTable:
     def test_put_get_overwrite(self):
@@ -69,6 +83,24 @@ class TestMemTable:
         table.put(_key(1), _value(1))
         table.clear()
         assert len(table) == 0
+
+    def test_byte_size_is_sum_over_items(self):
+        table = MemTable()
+
+        def summed():
+            return sum(len(k) + len(v) for k, v in table.items())
+
+        for i in (3, 1, 2):
+            table.put(_key(i), _value(i))
+            assert table.byte_size == summed()
+        table.put(_key(1), b"short")  # overwrite with a shorter value
+        assert table.byte_size == summed() == 3 * 32 - 16 + 5
+        table.put(_key(1), _value(9))  # and back to full length
+        assert table.byte_size == summed() == 3 * 32
+        table.clear()
+        assert table.byte_size == summed() == 0
+        table.put(_key(4), _value(4))
+        assert table.byte_size == summed() == 32
 
 
 class TestWAL:
@@ -140,6 +172,29 @@ class TestSSTable:
         assert table.get(_key(42)) == _value(42)
         table.close()
 
+    def test_io_model_counts_logical_block_reads(self, tmp_path):
+        """One seek plus the block's bytes per block a read enters."""
+        path = str(tmp_path / "io.sst")
+        write_sstable(path, ((_key(i), _value(i)) for i in range(300))).close()
+        stats = IOStats()
+        table = SSTable(path, stats)  # blocks of 128, 128 and 44 records
+
+        def delta(read):
+            before = (stats.seeks, stats.bytes_read)
+            read()
+            return stats.seeks - before[0], stats.bytes_read - before[1]
+
+        assert delta(lambda: table.get(_key(10))) == (1, 4096)
+        assert delta(lambda: table.get(_key(290))) == (1, 44 * 32)
+        absent = [_key(i) for i in range(300, 10**4)]
+        rejected = next(k for k in absent if k not in table.bloom)
+        assert delta(lambda: table.get(rejected)) == (0, 0)
+        false_positive = next(k for k in absent if k in table.bloom)  # lands in block 2
+        assert delta(lambda: table.get(false_positive)) == (1, 44 * 32)
+        assert delta(lambda: list(table.range(_key(100), _key(140)))) == (2, 8192)
+        assert delta(lambda: list(table.items())) == (3, 300 * 32)
+        table.close()
+
     def test_merge_runs_newest_wins(self, tmp_path):
         old = write_sstable(
             str(tmp_path / "old.sst"), [(_key(1), _value(1)), (_key(2), _value(2))]
@@ -150,6 +205,52 @@ class TestSSTable:
         assert merged[_key(2)] == _value(2)
         old.close()
         new.close()
+
+
+class TestConcurrentReads:
+    def test_threads_read_what_one_thread_reads(self, tmp_path):
+        """Readers of one run share no file position or block cache."""
+        n = 40_000  # 313 blocks
+        table = write_sstable(
+            str(tmp_path / "shared.sst"), ((_key(i), _value(i)) for i in range(n))
+        )
+        rng = random.Random(5)
+        probes = [rng.randrange(n + n // 10) for _ in range(24_000)]  # ~9% absent
+        expected_ranges = {
+            j: list(table.range(_key(i), _key(i + 20)))
+            for j, i in enumerate(probes)
+            if j % 40 == 0
+        }
+        expected_gets = [table.get(_key(i)) for i in probes]
+        got_gets = [None] * len(probes)
+        got_ranges, errors = {}, []
+
+        def reader(slot):
+            try:
+                for j in range(slot, len(probes), 6):
+                    got_gets[j] = table.get(_key(probes[j]))
+                    if j % 40 == 0:
+                        i = probes[j]
+                        got_ranges[j] = list(table.range(_key(i), _key(i + 20)))
+            except Exception as exc:  # reported below, not swallowed
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader, args=(s,)) for s in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        wrong = sum(a != b for a, b in zip(got_gets, expected_gets))
+        assert wrong == 0, f"{wrong} of {len(probes)} concurrent gets were wrong"
+        assert got_ranges == expected_ranges
+        table.close()
 
 
 class TestLSMTree:

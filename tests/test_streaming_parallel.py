@@ -1,11 +1,15 @@
 """Streaming monitor and parallel k/2-hop (both must match the batch miner)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.baselines import mine_pccd
 from repro.core import ConvoyQuery, K2Hop
 from repro.data import plant_convoys, random_walk_dataset
 from repro.extensions import StreamingConvoyMonitor, mine_convoys_parallel, replay
+from repro.storage.lsmstore import LSMTStore
 
 
 class TestStreamingMonitor:
@@ -81,6 +85,30 @@ class TestParallelMiner:
         sequential = K2Hop(query).mine(ds)
         parallel = mine_convoys_parallel(ds, query, max_workers=4)
         assert parallel.convoys == sequential.convoys
+
+    def test_matches_sequential_over_lsm(self, tmp_path):
+        """Worker threads read one LSM run concurrently (scans and gets)."""
+        ds = random_walk_dataset(n_objects=300, duration=100, extent=400.0, step=8.0, seed=3)
+        query = ConvoyQuery(m=3, k=8, eps=12.0)
+        expected = K2Hop(query).mine(ds).convoys
+        assert expected
+        mined = []
+        with LSMTStore.create(str(tmp_path / "lsm"), ds) as store:
+            miner = threading.Thread(
+                target=lambda: mined.extend(
+                    mine_convoys_parallel(store, query, max_workers=4).convoys
+                    for _ in range(3)
+                )
+            )
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                miner.start()
+                miner.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not miner.is_alive()
+        assert mined == [expected] * 3
 
     def test_planted_recovery(self, planted, planted_query):
         result = mine_convoys_parallel(planted.dataset, planted_query, max_workers=3)
