@@ -14,6 +14,7 @@ from .grid import GridIndex
 from .kdtree import KDTree
 from .neighbors import BruteForceIndex
 from .unionfind import UnionFind
+from .whole import one_cluster_ticks
 
 __all__ = [
     "BruteForceIndex",
@@ -29,4 +30,5 @@ __all__ = [
     "dbscan_reference",
     "density_cluster_indices",
     "density_cluster_indices_scalar",
+    "one_cluster_ticks",
 ]

@@ -14,16 +14,21 @@ dying window never reads its remaining ticks).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..clustering import cluster_snapshot
+from ..clustering import cluster_snapshot, one_cluster_ticks
 from .bench_points import HopWindow
 from .bitset import ObjectInterner
 from .enginemode import use_scalar
 from .params import ConvoyQuery
-from .source import TrajectorySource, fetch_points_for_many, select_sorted_rows
+from .source import (
+    Snapshot,
+    TrajectorySource,
+    fetch_points_for_many,
+    select_sorted_rows,
+)
 from .stats import MiningStats
 from .types import Cluster, Convoy, TimeInterval, Timestamp
 
@@ -59,12 +64,56 @@ def recluster(
 ) -> List[Cluster]:
     """DBSCAN over the points of ``objects`` at tick ``t`` (the paper's
     ``reCluster``): validates togetherness of a candidate at one timestamp."""
-    oids, xs, ys = source.points_for(t, sorted(objects))
+    return cluster_rows(source.points_for(t, sorted(objects)), query, stats, phase)
+
+
+def cluster_rows(
+    rows: Snapshot,
+    query: ConvoyQuery,
+    stats: Optional[MiningStats] = None,
+    phase: str = "hwmt",
+) -> List[Cluster]:
+    """:func:`recluster` over rows already fetched; counts them as used."""
+    oids, xs, ys = rows
     if stats is not None:
         stats.add_points(phase, len(oids))
     if len(oids) < query.m:
         return []
     return cluster_snapshot(oids, xs, ys, query.eps, query.m)
+
+
+def whole_run(
+    source: TrajectorySource,
+    ticks: Sequence[Timestamp],
+    objects: Cluster,
+    query: ConvoyQuery,
+) -> Tuple[int, List[Snapshot]]:
+    """How many leading ``ticks`` keep ``objects`` one whole cluster.
+
+    The rows of ``objects`` at every tick are fetched in one batched call
+    and returned with the count, one snapshot per tick in the order given.
+    A tick missing any member ends the run; the ticks before it are tested
+    in one :func:`one_cluster_ticks` call, which answers, tick by tick,
+    exactly what ``recluster(...) == [objects]`` would.  Nothing is
+    counted as used: the caller counts what it examines.
+    """
+    rows = fetch_points_for_many(source, ticks, sorted(objects))
+    snapshots = [rows[int(t)] for t in ticks]
+    n = len(objects)
+    present = 0
+    for oids, _, _ in snapshots:
+        if len(oids) != n:
+            break
+        present += 1
+    if not present:
+        return 0, snapshots
+    xs = np.concatenate([snapshots[i][1] for i in range(present)])
+    ys = np.concatenate([snapshots[i][2] for i in range(present)])
+    whole = one_cluster_ticks(
+        xs.reshape(present, n), ys.reshape(present, n), query.eps, query.m
+    )
+    failed = np.flatnonzero(~whole)
+    return (int(failed[0]) if failed.size else present), snapshots
 
 
 def mine_hop_window(
@@ -86,7 +135,9 @@ def mine_hop_window(
     a per-tick fetch — most candidates die there and cost nothing more —
     and each survivor then prefetches the remaining interior timestamps
     with a single batched ``points_for_many`` call (one fetch per window
-    per candidate instead of one per tick).
+    per candidate instead of one per tick).  Each survivor's whole window
+    is then tested in one :func:`whole_run` call; only windows where some
+    survivor splits run the per-tick frontier loop.
     """
     if not candidates:
         return []
@@ -109,27 +160,62 @@ def mine_hop_window(
             if key not in seen:
                 seen.add(key)
                 surviving.append(cluster)
-    if not surviving:
-        return []
-    if rest:
-        frontier = [
-            (cluster, _WindowBuffer(fetch_points_for_many(source, rest, cluster)))
-            for cluster in surviving
-        ]
-        for t in rest:
-            next_frontier: List[Tuple[Cluster, _WindowBuffer]] = []
-            seen = set()
-            for cluster, buffer in frontier:
-                for sub in _recluster_buffered(buffer, t, cluster, query, stats):
-                    key = interner.mask_of(sub)
-                    if key not in seen:
-                        seen.add(key)
-                        next_frontier.append((sub, buffer))
-            if not next_frontier:
-                return []
-            frontier = next_frontier
-        surviving = [cluster for cluster, _ in frontier]
+    if not surviving or not rest:
+        return [Convoy(cluster, interval) for cluster in surviving]
+    frontier: List[_Entry] = []
+    for cluster in surviving:
+        run, snapshots = whole_run(source, rest, cluster, query)
+        frontier.append((cluster, snapshots, run))
+    if all(run == len(rest) for _, _, run in frontier):
+        if stats is not None:
+            stats.add_points("hwmt", len(rest) * sum(map(len, surviving)))
+    else:
+        surviving = _split_frontier(frontier, len(rest), interner, query, stats)
     return [Convoy(cluster, interval) for cluster in surviving]
+
+
+#: A frontier entry of :func:`_split_frontier`: the cluster, its window's
+#: prefetched rows (one snapshot per interior tick) and how many leading
+#: ticks it is known to stay whole for.
+_Entry = Tuple[Cluster, List[Snapshot], int]
+
+
+def _split_frontier(
+    frontier: List[_Entry],
+    ticks: int,
+    interner: ObjectInterner,
+    query: ConvoyQuery,
+    stats: Optional[MiningStats],
+) -> List[Cluster]:
+    """The per-tick frontier loop, for a window where some survivor splits.
+
+    Entries still inside their whole run pass a tick unchanged without
+    clustering; the rest re-cluster their rows of the tick (a run that has
+    ended stays ended for the entries it splits into).  Order and
+    per-tick deduplication are those of a loop that re-clusters every
+    entry, so the survivors and their order are too.
+    """
+    for i in range(ticks):
+        next_frontier: List[_Entry] = []
+        seen = set()
+        for cluster, snapshots, run in frontier:
+            if i < run:
+                if stats is not None:
+                    stats.add_points("hwmt", len(cluster))
+                subs = [cluster]
+            else:
+                wanted = np.asarray(sorted(cluster), dtype=np.int64)
+                rows = select_sorted_rows(*snapshots[i], wanted)
+                subs = cluster_rows(rows, query, stats)
+            for sub in subs:
+                key = interner.mask_of(sub)
+                if key not in seen:
+                    seen.add(key)
+                    next_frontier.append((sub, snapshots, run))
+        if not next_frontier:
+            return []
+        frontier = next_frontier
+    return [cluster for cluster, _, _ in frontier]
 
 
 def _mine_hop_window_scalar(
@@ -154,33 +240,3 @@ def _mine_hop_window_scalar(
         surviving = next_surviving
     interval = TimeInterval(window.left, window.right)
     return [Convoy(cluster, interval) for cluster in surviving]
-
-
-class _WindowBuffer:
-    """Prefetched per-candidate rows for one hop window's interior ticks."""
-
-    __slots__ = ("_snapshots",)
-
-    def __init__(self, snapshots: Dict[int, Tuple]):
-        self._snapshots = snapshots
-
-    def points_for(self, t: Timestamp, objects: Cluster):
-        oids, xs, ys = self._snapshots[int(t)]
-        wanted = np.asarray(sorted(objects), dtype=np.int64)
-        return select_sorted_rows(oids, xs, ys, wanted)
-
-
-def _recluster_buffered(
-    buffer: _WindowBuffer,
-    t: Timestamp,
-    objects: Cluster,
-    query: ConvoyQuery,
-    stats: Optional[MiningStats] = None,
-) -> List[Cluster]:
-    """`recluster` against prefetched rows: same output, no store round-trip."""
-    oids, xs, ys = buffer.points_for(t, objects)
-    if stats is not None:
-        stats.add_points("hwmt", len(oids))
-    if len(oids) < query.m:
-        return []
-    return cluster_snapshot(oids, xs, ys, query.eps, query.m)

@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence, Set, Tuple
 
 from .bitset import ObjectInterner, ObjectMask
 from .enginemode import use_scalar
-from .hwmt import hwmt_order, recluster
+from .hwmt import hwmt_order, recluster, whole_run
 from .params import ConvoyQuery
 from .source import TrajectorySource
 from .stats import MiningStats
@@ -35,16 +35,31 @@ def is_fully_connected(
 
     Clusters the restricted snapshot at the interval extremes first, then at
     midpoints (the HWMT* order), returning ``False`` on the first tick where
-    the candidate does not survive in its exact shape.
+    the candidate does not survive in its exact shape.  The extremes are
+    probed one tick each; the interior ticks are fetched in one batched
+    call and tested in one :func:`whole_run` call, counting points up to
+    and including the first failing tick.
     """
-    order = [convoy.start, convoy.end]
-    if convoy.end > convoy.start:
-        order += hwmt_order(convoy.start, convoy.end)
-    for t in order:
-        clusters = recluster(source, t, convoy.objects, query, stats, "validation")
-        if clusters != [convoy.objects]:
+    objects = convoy.objects
+    extremes = (convoy.start, convoy.end)
+    interior = hwmt_order(convoy.start, convoy.end)
+    if use_scalar():
+        return all(
+            recluster(source, t, objects, query, stats, "validation") == [objects]
+            for t in (*extremes, *interior)
+        )
+    for t in extremes:
+        if recluster(source, t, objects, query, stats, "validation") != [objects]:
             return False
-    return True
+    if not interior:
+        return True
+    run, snapshots = whole_run(source, interior, objects, query)
+    if stats is not None:
+        used = run * len(objects)
+        if run < len(snapshots):
+            used += len(snapshots[run][0])
+        stats.add_points("validation", used)
+    return run == len(snapshots)
 
 
 def validate_convoys(

@@ -71,6 +71,7 @@ class Dataset:
         self.xs = xs
         self.ys = ys
         self._index = _build_time_index(ts)
+        self._row_key_cache: Optional[Tuple[int, int, int, np.ndarray]] = None
 
     # -- construction ----------------------------------------------------
 
@@ -158,11 +159,62 @@ class Dataset:
     ) -> Dict[int, Snapshot]:
         """Batched :meth:`points_for`: one call covering several timestamps.
 
-        The wanted-object set is normalised once instead of per tick; the
-        HWMT uses this to fetch a candidate's whole hop window in one call.
+        Every wanted ``(t, oid)`` pair is located with one ``searchsorted``
+        over the composite row key (see :meth:`_row_key`); the HWMT,
+        extension and validation fetch a candidate's ticks this way.
         """
         wanted = np.asarray(sorted(set(oids)), dtype=np.int64)
-        return {int(t): self._points_for_sorted(int(t), wanted) for t in ts}
+        row_key = self._row_key()
+        if row_key is None:
+            return {int(t): self._points_for_sorted(int(t), wanted) for t in ts}
+        t0, o0, span, keys = row_key
+        snapshots = dict.fromkeys(map(int, ts), _EMPTY_SNAPSHOT)
+        found = [t for t in snapshots if t in self._index]
+        if len(wanted) and (wanted[0] < o0 or wanted[-1] >= o0 + span):
+            wanted = wanted[(wanted >= o0) & (wanted < o0 + span)]
+        if not found or not len(wanted):
+            return snapshots
+        probe = (
+            ((np.array(found) - t0) * span)[:, None] + (wanted - o0)
+        ).ravel()
+        pos = keys.searchsorted(probe)
+        np.minimum(pos, len(keys) - 1, out=pos)
+        hit = keys[pos] == probe
+        if hit.all():  # every wanted object at every tick: one row per tick
+            shape = (len(found), len(wanted))
+            columns = zip(
+                self.oids[pos].reshape(shape),
+                self.xs[pos].reshape(shape),
+                self.ys[pos].reshape(shape),
+            )
+            snapshots.update(zip(found, columns))
+            return snapshots
+        pos = pos[hit]
+        ends = np.cumsum(hit.reshape(len(found), -1).sum(axis=1)).tolist()
+        oids_hit, xs_hit, ys_hit = self.oids[pos], self.xs[pos], self.ys[pos]
+        lo = 0
+        for t, hi in zip(found, ends):
+            snapshots[t] = oids_hit[lo:hi], xs_hit[lo:hi], ys_hit[lo:hi]
+            lo = hi
+        return snapshots
+
+    def _row_key(self) -> Optional[Tuple[int, int, int, np.ndarray]]:
+        """``(t0, o0, span, keys)`` with ``keys = (t - t0) * span + (oid - o0)``.
+
+        Rows are sorted by ``(t, oid)``, so ``keys`` ascends with the rows
+        and one ``searchsorted`` finds any ``(t, oid)``.  Built on first use
+        and published with one assignment, so concurrent readers see either
+        nothing or the whole tuple.  ``None`` for an empty dataset, or when
+        the keys would overflow int64 (callers then select tick by tick).
+        """
+        row_key = self._row_key_cache
+        if row_key is None and len(self.oids):
+            t0, o0 = int(self.ts[0]), int(self.oids.min())
+            span = int(self.oids.max()) - o0 + 1
+            if (int(self.ts[-1]) - t0 + 1) * span < 2**63:
+                keys = (self.ts - t0) * span + (self.oids - o0)
+                row_key = self._row_key_cache = (t0, o0, span, keys)
+        return row_key
 
     def _points_for_sorted(self, t: Timestamp, wanted: np.ndarray) -> Snapshot:
         snap_oids, xs, ys = self.snapshot(t)

@@ -260,12 +260,19 @@ class StreamingConvoyMonitor:
         covered = {t for t, *_ in self._window}
         if not all(t in covered for t in convoy.interval):
             return [convoy]
-        records = []
+        # Validation reads only the convoy's members over its interval, so
+        # the dataset holds just those rows, cut from the retained arrays.
+        members = np.fromiter(convoy.objects, dtype=np.int64, count=convoy.size)
+        columns: Tuple[List[np.ndarray], ...] = ([], [], [], [])
         for t, oid_arr, xs_arr, ys_arr in self._window:
             if t in convoy.interval:
-                for oid, x, y in zip(oid_arr, xs_arr, ys_arr):
-                    records.append((int(oid), int(t), float(x), float(y)))
-        dataset = Dataset.from_records(records)
+                keep = np.isin(oid_arr, members)
+                rows = oid_arr[keep]
+                columns[0].append(rows)
+                columns[1].append(np.full(len(rows), t, dtype=np.int64))
+                columns[2].append(xs_arr[keep])
+                columns[3].append(ys_arr[keep])
+        dataset = Dataset(*(np.concatenate(column) for column in columns))
         return validate_convoys(dataset, [convoy], self.query)
 
 
