@@ -2,51 +2,35 @@
 
 ``BENCH_k2hop.json`` holds a list of entries — one per benchmark run —
 instead of a single overwritten report, so regressions show up as a time
-series.  Entries carry a ``kind`` (``"mining"`` from
-``perf_trajectory.py``, ``"serve"`` from ``serve_load.py``) plus whatever
-payload the producing harness reports.
-
-A legacy single-report file (the PR-1 format, a bare mining report at the
-top level) is migrated transparently into the first entry.
+series.  Entries carry a ``kind`` (``"soak"`` from ``soak.py``; the
+``"mining"`` and ``"serve"`` entries came from harnesses since retired
+onto ``benchmarks/bench/``) plus whatever payload the producing harness
+reports.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, List
+from typing import Dict
 
 JOURNAL_BENCHMARK = "k2hop-trajectory"
 
 
 def load_journal(path: str) -> Dict:
-    """Load (and, if needed, migrate) the benchmark journal."""
+    """Load the benchmark journal (an empty one if the file is missing)."""
     if not os.path.exists(path):
         return {"benchmark": JOURNAL_BENCHMARK, "entries": []}
     with open(path) as fh:
-        data = json.load(fh)
-    if "entries" in data:
-        return data
-    # Legacy PR-1 schema: one mining report at the top level.
-    entry = {"kind": "mining", "label": "PR-1"}
-    entry.update({k: v for k, v in data.items() if k != "benchmark"})
-    return {"benchmark": JOURNAL_BENCHMARK, "entries": [entry]}
+        return json.load(fh)
 
 
-def append_entry(path: str, entry: Dict, journal: Dict = None) -> Dict:
-    """Append one entry and rewrite the journal; returns the journal.
-
-    Pass a pre-loaded ``journal`` to avoid a second read when the caller
-    already inspected it (e.g. to compute an entry label).
-    """
-    if journal is None:
-        journal = load_journal(path)
+def append_entry(path: str, entry: Dict) -> Dict:
+    """Append one entry and rewrite the journal; returns the journal."""
+    journal = load_journal(path)
     journal["entries"].append(entry)
     with open(path, "w") as fh:
         json.dump(journal, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return journal
 
-
-def entries_of_kind(journal: Dict, kind: str) -> List[Dict]:
-    return [e for e in journal["entries"] if e.get("kind") == kind]

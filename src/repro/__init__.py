@@ -21,8 +21,6 @@ The same session drives streaming (``.feed()``) and serving
 enumerates every registered algorithm.
 """
 
-import warnings
-
 from .api import (
     ConvoyService,
     ConvoySession,
@@ -72,34 +70,8 @@ __all__ = [
     "generate_trucks",
     "get_miner",
     "list_miners",
-    "mine_convoys",
     "miner_names",
     "plant_convoys",
     "random_walk_dataset",
     "register_miner",
 ]
-
-#: Old top-level entry points kept as deprecation shims: the attribute is
-#: served lazily (PEP 562) so touching it warns exactly once per call site
-#: while `repro.core.mine_convoys` stays warning-free for internal use.
-_DEPRECATED_SHIMS = {
-    "mine_convoys": (
-        "repro.core",
-        "mine with ConvoySession (repro.api) or import it from repro.core",
-    ),
-}
-
-
-def __getattr__(name):
-    shim = _DEPRECATED_SHIMS.get(name)
-    if shim is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    home, advice = shim
-    warnings.warn(
-        f"`from repro import {name}` is deprecated; {advice}",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(home), name)

@@ -8,9 +8,8 @@ two masters:
 * the property tests (``tests/test_analytics_equivalence.py``) assert
   ``engine.query(...) == brute_query(index.records(), ...)`` across
   datasets and parameters, proving the incremental maintenance exact;
-* the benchmark (``benchmarks/serve_load.py --analytics``) times them as
-  the "naive raw-index scan" baseline the summary-backed engine is
-  required to beat.
+* the ``query`` workload of ``benchmarks/bench/`` gates the windowed
+  and top-k answers it samples on the same equality.
 
 Pass ``cell_size=engine.region_cell_size`` so both sides quantize
 regions over the same lattice.

@@ -265,10 +265,6 @@ class ConvoyAnalytics:
     def region_cell_size(self) -> Optional[float]:
         return self._store.region_cell_size
 
-    def detach(self) -> None:
-        """Stop maintaining the summaries (drops the index listener)."""
-        self._index.remove_listener(self._store)
-
     # -- windowed aggregation ------------------------------------------------
 
     def windowed(

@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from typing import List, Optional
 
 from .api import ConvoySession, SchemaError, get_miner, list_miners, miner_names
@@ -113,14 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--store",
         choices=("bptree", "lsmt"),
-        default=None,
+        default="lsmt",
         help="persistent index backend for --index-dir (default lsmt)",
-    )
-    serve.add_argument(
-        "--backend",
-        choices=("bptree", "lsmt"),
-        default=None,
-        help=argparse.SUPPRESS,  # deprecated alias of --store
     )
     serve.add_argument(
         "--shards",
@@ -407,22 +400,6 @@ def _print_convoys(convoys) -> None:
 
 
 def _serve(args: argparse.Namespace) -> int:
-    backend = args.store
-    if args.backend is not None:
-        warnings.warn(
-            "`serve --backend` is deprecated; use `serve --store`",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if backend is not None and backend != args.backend:
-            print(
-                f"conflicting --store {backend!r} and --backend {args.backend!r}",
-                file=sys.stderr,
-            )
-            return 2
-        backend = args.backend
-    if backend is None:
-        backend = "lsmt"
     history = args.history
     if history != "full":
         try:
@@ -459,7 +436,7 @@ def _serve(args: argparse.Namespace) -> int:
             .workers(args.workers)
         )
         if args.index_dir:
-            session = session.store(backend, args.index_dir)
+            session = session.store(args.store, args.index_dir)
         if args.durable:
             session = session.durable(args.checkpoint_every)
         if args.retain_window is not None or args.retain_max_rows is not None:
@@ -480,7 +457,7 @@ def _serve(args: argparse.Namespace) -> int:
     if args.http is not None:
         return _serve_http(handle, dataset, args)
     if args.index_dir:
-        print(f"index persisted to {args.index_dir} ({backend})")
+        print(f"index persisted to {args.index_dir} ({args.store})")
         handle.close()
     return 0
 

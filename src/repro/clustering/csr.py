@@ -15,7 +15,7 @@ produces, for *all* points at once, the concatenated eps-neighborhoods
   one batched distance computation.
 
 Both emit identical CSR arrays; the crossover is ``DENSE_THRESHOLD``
-(measured, see benchmarks/perf_trajectory.py).
+(measured on uniform clouds; the timings sit beside the constant).
 """
 
 from __future__ import annotations

@@ -3,8 +3,9 @@
 The k/2-hop pipeline ships two interchangeable implementations of its hot
 paths: the vectorized CSR + union-find clustering engine with bitset
 convoy algebra (the default), and the original scalar code, kept as the
-correctness oracle.  Tests assert bit-identical results across the two;
-``benchmarks/perf_trajectory.py`` times them against each other.
+correctness oracle.  Tests assert bit-identical results across the two,
+and the ``mine-mem`` workload of ``benchmarks/bench/`` gates on the same
+equality.
 
 The switch is intentionally global rather than threaded through every
 call: the pipeline fans out through ~10 modules and the mode is a

@@ -144,10 +144,6 @@ def stage_edges(
     return successors
 
 
-#: Backwards-compatible alias (pre-analytics name).
-_stage_edges = stage_edges
-
-
 def _extend_chain(
     node: int,
     chain: Tuple[int, ...],

@@ -19,11 +19,11 @@ returns (and caches) the child time series for one label combination,
 exactly like the Prometheus client idiom.
 
 **Hot paths cost nothing extra.**  Counters that already exist as plain
-dataclass fields (``CacheStats``, ``IngestStats``, ``IOStats``,
-``ServerStats``) are *not* double-counted on the hot path: their owners
-register a **collector** — a callable sampled only at scrape/snapshot
-time — so reading ``/metrics`` does the aggregation and the hot path
-keeps its single attribute increment.  Duplicate samples from several
+dataclass fields (``CacheStats``, ``IngestStats``, ``IOStats``) are *not*
+double-counted on the hot path: their owners register a **collector** —
+a callable sampled only at scrape/snapshot time — so reading
+``/metrics`` does the aggregation and the hot path keeps its single
+attribute increment.  Duplicate samples from several
 live instances (e.g. two open LSM stores) are merged: counters sum,
 gauges take the max.
 

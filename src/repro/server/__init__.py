@@ -39,7 +39,6 @@ from .protocol import (
 from .app import (
     ConvoyServer,
     HttpServerHandle,
-    ServerStats,
     serve_http,
     serve_in_background,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "ProtocolError",
     "Request",
     "RetryPolicy",
-    "ServerStats",
     "convoy_from_wire",
     "convoy_to_wire",
     "convoys_from_wire",

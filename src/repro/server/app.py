@@ -67,7 +67,6 @@ import queue
 import signal
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
@@ -86,7 +85,7 @@ from ..analytics.params import (
     validated,
 )
 from ..api.registry import get_miner, list_miners
-from ..api.schema import SchemaError
+from ..api.schema import ParamSchema, SchemaError
 from ..core.params import ConvoyQuery
 from ..data.dataset import Dataset
 from ..obs import METRICS, TRACE_HEADER, TRACER, new_trace_id, rss_bytes
@@ -106,9 +105,31 @@ _REQUEST_SECONDS = METRICS.histogram(
     "HTTP request latency per route (dispatch to response-ready).",
     ["route"],
 )
+# The request counters behind ``GET /stats``.  They are process-wide:
+# every deployment path runs one server per process.
 _REQUESTS = METRICS.counter(
     "repro_server_requests_total", "HTTP requests dispatched per route.",
     ["route"],
+)
+_ERRORS = METRICS.counter(
+    "repro_server_errors_total", "HTTP responses with status >= 400."
+)
+_READS = METRICS.counter(
+    "repro_server_reads_total", "Convoy and analytics queries."
+)
+_WRITES = METRICS.counter(
+    "repro_server_writes_total", "Feed and finish requests."
+)
+_MINES = METRICS.counter("repro_server_mines_total", "Batch-mine requests.")
+_REJECTED = METRICS.counter(
+    "repro_server_rejected_total",
+    "Writes answered 503: full writer queue or a draining stop.",
+)
+_TIMEOUTS = METRICS.counter(
+    "repro_server_timeouts_total", "Requests answered 504 at the deadline."
+)
+_SHED = METRICS.counter(
+    "repro_server_shed_total", "Expensive reads shed (503) while degraded."
 )
 
 
@@ -117,30 +138,17 @@ HEALTH_STATES = ("healthy", "degraded", "draining")
 
 
 def _collect_server(server: "ConvoyServer"):
-    stats = server.stats
-    help_ = "Server-side request counters."
-    samples = [
-        ("repro_server_%s_total" % name, "counter", help_, (),
-         float(getattr(stats, name)))
-        for name in ("errors", "reads", "writes", "mines", "rejected",
-                     "timeouts", "shed")
+    return [
+        ("repro_server_pending_writes", "gauge",
+         "Mutations waiting in the single-writer queue.", (),
+         float(server._write_queue.qsize())),
+        ("repro_health_state", "gauge",
+         "Serving health: 0 healthy, 1 degraded, 2 draining.", (),
+         float(HEALTH_STATES.index(server.health_state()))),
+        ("repro_health_transitions_total", "counter",
+         "Health-state changes observed since the server started.", (),
+         float(server._health_transitions)),
     ]
-    samples.append((
-        "repro_server_pending_writes", "gauge",
-        "Mutations waiting in the single-writer queue.", (),
-        float(server._write_queue.qsize()),
-    ))
-    samples.append((
-        "repro_health_state", "gauge",
-        "Serving health: 0 healthy, 1 degraded, 2 draining.", (),
-        float(HEALTH_STATES.index(server.health_state())),
-    ))
-    samples.append((
-        "repro_health_transitions_total", "counter",
-        "Health-state changes observed since the server started.", (),
-        float(server._health_transitions),
-    ))
-    return samples
 
 
 class _Overloaded(Exception):
@@ -154,26 +162,6 @@ class _Overloaded(Exception):
     ):
         super().__init__(message)
         self.retry_after = retry_after
-
-
-@dataclass
-class ServerStats:
-    """Request-side counters (served by ``GET /stats``)."""
-
-    requests: int = 0
-    errors: int = 0
-    reads: int = 0
-    writes: int = 0
-    mines: int = 0
-    rejected: int = 0  # 503s from writer-queue backpressure
-    timeouts: int = 0  # 504s from the per-request deadline
-    shed: int = 0  # 503s from degraded-mode load shedding
-    by_route: Dict[str, int] = field(default_factory=dict)
-    started_at: float = field(default_factory=time.time)
-
-    def count(self, route: str) -> None:
-        self.requests += 1
-        self.by_route[route] = self.by_route.get(route, 0) + 1
 
 
 class _PointLog:
@@ -268,7 +256,7 @@ class ConvoyServer:
                 f"got {degrade_pending_ratio}"
             )
         self.service = service
-        self.stats = ServerStats()
+        self._started_at = time.time()
         self.request_timeout = request_timeout
         self.max_pending_writes = max_pending_writes
         self.degrade_pending_ratio = degrade_pending_ratio
@@ -354,7 +342,7 @@ class ConvoyServer:
                 try:
                     request = await read_request(reader)
                 except ProtocolError as error:
-                    self.stats.errors += 1
+                    _ERRORS.inc()
                     writer.write(
                         response_bytes(
                             error.status,
@@ -369,7 +357,7 @@ class ConvoyServer:
                     return
                 status, payload, extra_headers = await self._dispatch(request)
                 if status >= 400:
-                    self.stats.errors += 1
+                    _ERRORS.inc()
                 writer.write(
                     response_bytes(
                         status, payload,
@@ -395,11 +383,11 @@ class ConvoyServer:
         self, request: Request
     ) -> Tuple[int, Any, Optional[Dict[str, str]]]:
         route = f"{request.method} {request.path}"
-        self.stats.count(route)
         handler = _ROUTES.get((request.method, request.path))
         # Metric label cardinality stays bounded: arbitrary paths all
-        # report as "unmatched" (the by_route dict keeps the raw routes).
+        # report as "unmatched".
         metric_route = route if handler is not None else "unmatched"
+        _REQUESTS.labels(metric_route).inc()
         trace_id = request.headers.get(TRACE_HEADER.lower()) or new_trace_id()
         started = time.perf_counter()
         with TRACER.trace(route, trace_id=trace_id):
@@ -410,7 +398,6 @@ class ConvoyServer:
             _REQUEST_SECONDS.labels(metric_route).observe(
                 time.perf_counter() - started
             )
-            _REQUESTS.labels(metric_route).inc()
         # Echo the trace id on every response so client retries correlate.
         extra = dict(extra) if extra else {}
         extra.setdefault(TRACE_HEADER, trace_id)
@@ -435,13 +422,12 @@ class ConvoyServer:
                 status, payload = await invocation
             return status, payload, None
         except _Overloaded as error:
-            self.stats.rejected += 1
             return 503, error_payload(
                 503, str(error), type_name="Overloaded",
                 retry_after=error.retry_after, trace_id=trace_id,
             ), {"Retry-After": f"{error.retry_after:g}"}
         except asyncio.TimeoutError:
-            self.stats.timeouts += 1
+            _TIMEOUTS.inc()
             return 504, error_payload(
                 504,
                 f"request exceeded the {self.request_timeout:g}s deadline",
@@ -478,6 +464,7 @@ class ConvoyServer:
         batch.
         """
         if self._stopping:
+            _REJECTED.inc()
             raise _Overloaded()
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         # run_in_executor does not propagate contextvars; carry the
@@ -487,6 +474,7 @@ class ConvoyServer:
         try:
             self._write_queue.put_nowait((lambda: context.run(job), future))
         except asyncio.QueueFull:
+            _REJECTED.inc()
             raise _Overloaded() from None
         return await future
 
@@ -561,7 +549,7 @@ class ConvoyServer:
         of being starved behind heavy queries.
         """
         if self.health_state() == "degraded":
-            self.stats.shed += 1
+            _SHED.inc()
             raise _Overloaded(
                 retry_after=2.0,
                 message="server degraded; expensive queries are shed, "
@@ -584,25 +572,30 @@ class ConvoyServer:
             "index_version": index.version,
             "live_feed": self.service.ingest is not None,
             "snapshots_fed": self._points.num_snapshots,
-            "uptime_seconds": time.time() - self.stats.started_at,
+            "uptime_seconds": time.time() - self._started_at,
         }
 
     async def _get_stats(self, request: Request) -> Tuple[int, Any]:
         engine = self.service.query
         ingest = self.service.stats
+        # Registry counters hold floats; the wire keeps JSON integers.
+        by_route = {
+            dict(labels)["route"]: int(value)
+            for _, _, _, labels, value in _REQUESTS.samples()
+        }
         return 200, {
-            "requests": self.stats.requests,
-            "errors": self.stats.errors,
-            "reads": self.stats.reads,
-            "writes": self.stats.writes,
-            "mines": self.stats.mines,
-            "rejected": self.stats.rejected,
-            "timeouts": self.stats.timeouts,
-            "shed": self.stats.shed,
+            "requests": sum(by_route.values()),
+            "errors": int(_ERRORS.value),
+            "reads": int(_READS.value),
+            "writes": int(_WRITES.value),
+            "mines": int(_MINES.value),
+            "rejected": int(_REJECTED.value),
+            "timeouts": int(_TIMEOUTS.value),
+            "shed": int(_SHED.value),
             "health": self.health_state(),
             "health_transitions": self._health_transitions,
             "pending_writes": self._write_queue.qsize(),
-            "by_route": self.stats.by_route,
+            "by_route": by_route,
             "cache": {
                 "hits": engine.cache_stats.hits,
                 "misses": engine.cache_stats.misses,
@@ -671,7 +664,7 @@ class ConvoyServer:
 
     # lint: disable=route-validation — predates the PR 4 schema layer; its typed _parse_* helpers answer 400 with the same envelope
     async def _get_convoys(self, request: Request) -> Tuple[int, Any]:
-        self.stats.reads += 1
+        _READS.inc()
         engine = self.service.query
         selectors = [
             key for key in ("between", "object", "containing", "region", "open")
@@ -725,7 +718,7 @@ class ConvoyServer:
                 400, "this server is query-only (opened over a persisted "
                 "index); /feed needs a live service"
             )
-        self.stats.writes += 1
+        _WRITES.inc()
         body = request.json()
         t, oids, xs, ys = _parse_snapshot(body)
         src, seq = _parse_feed_identity(body)
@@ -750,7 +743,7 @@ class ConvoyServer:
     async def _post_finish(self, request: Request) -> Tuple[int, Any]:
         if self.service.ingest is None:
             raise ProtocolError(400, "this server is query-only; nothing to finish")
-        self.stats.writes += 1
+        _WRITES.inc()
         src, seq = _parse_feed_identity(request.json())
         ingest = self.service.ingest
         closed = await self._submit_write(
@@ -759,7 +752,7 @@ class ConvoyServer:
         return 200, convoys_to_wire(closed)
 
     async def _post_mine(self, request: Request) -> Tuple[int, Any]:
-        self.stats.mines += 1
+        _MINES.inc()
         body = request.json()
         if not isinstance(body, dict):
             raise ProtocolError(400, "mine body must be a JSON object")
@@ -792,128 +785,120 @@ class ConvoyServer:
             payload["total_points"] = stats.total_points
         return 200, payload
 
-    # -- analytics handlers ----------------------------------------------------
-
-    async def _get_analytics_windows(self, request: Request) -> Tuple[int, Any]:
+    async def _get_analytics(self, request: Request) -> Tuple[int, Any]:
+        """Every ``/analytics/*`` route: shed, count, validate, then call
+        and render on a reader thread (building the summaries on first
+        use can take a while, so it must not stall the event loop)."""
+        schema, required, render = _ANALYTICS[request.path]
         self._shed_if_degraded()
-        self.stats.reads += 1
-        values = validated(WINDOWS_SCHEMA, request.query)
-        width = require(values, "width", WINDOWS_SCHEMA)
-        rows = await self._in_reader(
-            lambda: self.service.analytics().windowed(
-                width, step=values.get("step"), origin=values["origin"],
-                start=values.get("start"), end=values.get("end"),
-            )
+        _READS.inc()
+        values = validated(schema, request.query)
+        if required is not None:
+            require(values, required, schema)
+        return 200, await self._in_reader(
+            lambda: render(self.service.analytics(), values)
         )
-        return 200, {
-            "width": width,
-            "step": values.get("step", width) or width,
-            "origin": values["origin"],
-            "count": len(rows),
-            "windows": [row.as_dict() for row in rows],
+
+
+# -- analytics envelopes: (analytics engine, validated values) -> payload -----
+
+
+def _render_windows(analytics, values: Dict[str, Any]) -> Dict[str, Any]:
+    width = values["width"]
+    rows = analytics.windowed(
+        width, step=values.get("step"), origin=values["origin"],
+        start=values.get("start"), end=values.get("end"),
+    )
+    return {
+        "width": width,
+        "step": values.get("step", width) or width,
+        "origin": values["origin"],
+        "count": len(rows),
+        "windows": [row.as_dict() for row in rows],
+    }
+
+
+def _render_topk(analytics, values: Dict[str, Any]) -> Dict[str, Any]:
+    # "none" arrives as the schema's null sentinel; restore it.
+    group = values.get("group") or "none"
+    rows = analytics.top_k(
+        values["k"], by=values["by"], group=group,
+        width=values.get("width"), step=values.get("step"),
+        origin=values["origin"],
+        start=values.get("start"), end=values.get("end"),
+    )
+    return {
+        "k": values["k"], "by": values["by"], "group": group,
+        "count": len(rows),
+        "results": [row.as_dict() for row in rows],
+    }
+
+
+def _render_regions(analytics, values: Dict[str, Any]) -> Dict[str, Any]:
+    rows = analytics.group_by_region(
+        by=values["by"], k=values.get("k"),
+        start=values.get("start"), end=values.get("end"),
+    )
+    return {
+        "by": values["by"],
+        "cell_size": analytics.region_cell_size,
+        "count": len(rows),
+        "regions": [row.as_dict() for row in rows],
+    }
+
+
+def _render_objects(analytics, values: Dict[str, Any]) -> Dict[str, Any]:
+    rows = analytics.group_by_object(by=values["by"], k=values.get("k"))
+    return {
+        "by": values["by"], "count": len(rows),
+        "objects": [row.as_dict() for row in rows],
+    }
+
+
+def _render_cotravel(analytics, values: Dict[str, Any]) -> Dict[str, Any]:
+    if values["components"]:
+        components = analytics.co_travel_components(values["min_weight"])
+        return {
+            "min_weight": values["min_weight"],
+            "count": len(components),
+            "components": components,
         }
-
-    async def _get_analytics_topk(self, request: Request) -> Tuple[int, Any]:
-        self._shed_if_degraded()
-        self.stats.reads += 1
-        values = validated(TOPK_SCHEMA, request.query)
-        # "none" arrives as the schema's null sentinel; restore it.
-        group = values.get("group") or "none"
-        rows = await self._in_reader(
-            lambda: self.service.analytics().top_k(
-                values["k"], by=values["by"], group=group,
-                width=values.get("width"), step=values.get("step"),
-                origin=values["origin"],
-                start=values.get("start"), end=values.get("end"),
-            )
-        )
-        return 200, {
-            "k": values["k"], "by": values["by"], "group": group,
-            "count": len(rows),
-            "results": [row.as_dict() for row in rows],
-        }
-
-    async def _get_analytics_regions(self, request: Request) -> Tuple[int, Any]:
-        self._shed_if_degraded()
-        self.stats.reads += 1
-        values = validated(REGIONS_SCHEMA, request.query)
-        analytics = self.service.analytics()
-        rows = await self._in_reader(
-            lambda: analytics.group_by_region(
-                by=values["by"], k=values.get("k"),
-                start=values.get("start"), end=values.get("end"),
-            )
-        )
-        return 200, {
-            "by": values["by"],
-            "cell_size": analytics.region_cell_size,
-            "count": len(rows),
-            "regions": [row.as_dict() for row in rows],
-        }
-
-    async def _get_analytics_objects(self, request: Request) -> Tuple[int, Any]:
-        self._shed_if_degraded()
-        self.stats.reads += 1
-        values = validated(OBJECTS_SCHEMA, request.query)
-        rows = await self._in_reader(
-            lambda: self.service.analytics().group_by_object(
-                by=values["by"], k=values.get("k"),
-            )
-        )
-        return 200, {
-            "by": values["by"], "count": len(rows),
-            "objects": [row.as_dict() for row in rows],
-        }
-
-    async def _get_analytics_cotravel(self, request: Request) -> Tuple[int, Any]:
-        self._shed_if_degraded()
-        self.stats.reads += 1
-        values = validated(COTRAVEL_SCHEMA, request.query)
-        analytics = self.service.analytics()
-        if values["components"]:
-            components = await self._in_reader(
-                lambda: analytics.co_travel_components(values["min_weight"])
-            )
-            return 200, {
-                "min_weight": values["min_weight"],
-                "count": len(components),
-                "components": components,
-            }
-        if values.get("object") is not None:
-            oid = values["object"]
-            neighbors = await self._in_reader(
-                lambda: analytics.co_travel_neighbors(oid, values["k"])
-            )
-            return 200, {
-                "object": oid,
-                "count": len(neighbors),
-                "neighbors": [
-                    {"object": other, "weight": weight}
-                    for other, weight in neighbors
-                ],
-            }
-        pairs = await self._in_reader(
-            lambda: analytics.co_travel_pairs(values["k"])
-        )
-        return 200, {
-            "k": values["k"], "count": len(pairs),
-            "pairs": [
-                {"a": a, "b": b, "weight": weight} for a, b, weight in pairs
+    if values.get("object") is not None:
+        oid = values["object"]
+        neighbors = analytics.co_travel_neighbors(oid, values["k"])
+        return {
+            "object": oid,
+            "count": len(neighbors),
+            "neighbors": [
+                {"object": other, "weight": weight}
+                for other, weight in neighbors
             ],
         }
+    pairs = analytics.co_travel_pairs(values["k"])
+    return {
+        "k": values["k"], "count": len(pairs),
+        "pairs": [
+            {"a": a, "b": b, "weight": weight} for a, b, weight in pairs
+        ],
+    }
 
-    async def _get_analytics_lineage(self, request: Request) -> Tuple[int, Any]:
-        self._shed_if_degraded()
-        self.stats.reads += 1
-        values = validated(LINEAGE_SCHEMA, request.query)
-        cid = require(values, "convoy", LINEAGE_SCHEMA)
-        lineage = await self._in_reader(
-            lambda: self.service.analytics().lineage(
-                cid, min_common=values["min_common"], depth=values["depth"],
-            )
-        )
-        return 200, lineage.as_dict()
 
+def _render_lineage(analytics, values: Dict[str, Any]) -> Dict[str, Any]:
+    return analytics.lineage(
+        values["convoy"], min_common=values["min_common"],
+        depth=values["depth"],
+    ).as_dict()
+
+
+#: ``/analytics/*`` path -> (schema, required parameter, call-and-render).
+_ANALYTICS: Dict[str, Tuple[ParamSchema, Optional[str], Callable]] = {
+    "/analytics/windows": (WINDOWS_SCHEMA, "width", _render_windows),
+    "/analytics/topk": (TOPK_SCHEMA, None, _render_topk),
+    "/analytics/regions": (REGIONS_SCHEMA, None, _render_regions),
+    "/analytics/objects": (OBJECTS_SCHEMA, None, _render_objects),
+    "/analytics/cotravel": (COTRAVEL_SCHEMA, None, _render_cotravel),
+    "/analytics/lineage": (LINEAGE_SCHEMA, "convoy", _render_lineage),
+}
 
 _ROUTES: Dict[Tuple[str, str], Callable] = {
     ("GET", "/healthz"): ConvoyServer._get_healthz,
@@ -924,12 +909,12 @@ _ROUTES: Dict[Tuple[str, str], Callable] = {
     ("POST", "/feed"): ConvoyServer._post_feed,
     ("POST", "/feed/finish"): ConvoyServer._post_finish,
     ("POST", "/mine"): ConvoyServer._post_mine,
-    ("GET", "/analytics/windows"): ConvoyServer._get_analytics_windows,
-    ("GET", "/analytics/topk"): ConvoyServer._get_analytics_topk,
-    ("GET", "/analytics/regions"): ConvoyServer._get_analytics_regions,
-    ("GET", "/analytics/objects"): ConvoyServer._get_analytics_objects,
-    ("GET", "/analytics/cotravel"): ConvoyServer._get_analytics_cotravel,
-    ("GET", "/analytics/lineage"): ConvoyServer._get_analytics_lineage,
+    ("GET", "/analytics/windows"): ConvoyServer._get_analytics,
+    ("GET", "/analytics/topk"): ConvoyServer._get_analytics,
+    ("GET", "/analytics/regions"): ConvoyServer._get_analytics,
+    ("GET", "/analytics/objects"): ConvoyServer._get_analytics,
+    ("GET", "/analytics/cotravel"): ConvoyServer._get_analytics,
+    ("GET", "/analytics/lineage"): ConvoyServer._get_analytics,
 }
 
 

@@ -110,11 +110,11 @@ class TestServeQuery:
         assert "ingest:" in out and "persisted" in out
         return path
 
-    @pytest.mark.parametrize("backend", ["bptree", "lsmt"])
-    def test_serve_matches_mine(self, planted_csv, tmp_path, backend, capsys):
-        path = str(tmp_path / f"idx-{backend}")
+    @pytest.mark.parametrize("store", ["bptree", "lsmt"])
+    def test_serve_matches_mine(self, planted_csv, tmp_path, store, capsys):
+        path = str(tmp_path / f"idx-{store}")
         assert main(["serve", planted_csv, "-m", "3", "-k", "10", "--eps",
-                     "10.0", "--index-dir", path, "--backend", backend]) == 0
+                     "10.0", "--index-dir", path, "--store", store]) == 0
         served = [line for line in capsys.readouterr().out.splitlines()
                   if line.startswith("[")]
         assert main(["mine", planted_csv, "-m", "3", "-k", "10",

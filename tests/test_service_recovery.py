@@ -389,7 +389,7 @@ class TestRetentionCrashRecovery:
         reopened.close()
         replayed = [r.seq for r in FeedWAL.replay(path)]
         assert replayed == list(range(1, crashed_at + 40))
-        assert has_durable_state(os.path.dirname(path)) or True  # smoke
+        assert has_durable_state(os.path.dirname(path))
 
     def test_torn_wal_append_replays_consistent_prefix(self, tmp_path):
         """Die mid-frame inside ``service.wal.append``: a power-cut shape.
