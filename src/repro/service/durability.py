@@ -6,16 +6,18 @@ candidates, the retained validation window, the last observed tick, and
 which feed batches were already applied.  This module makes the whole
 ingest pipeline resume mid-feed:
 
-* :class:`FeedWAL` — an append-only, CRC32-framed journal of every
-  ingested snapshot batch ``(src, seq, t, oids, xs, ys)`` plus feed
-  ``finish`` markers.  Appends are flushed to the OS per record, so a
-  SIGKILL'd process loses nothing it acknowledged.
-* **checkpoints** — a periodic atomic snapshot (`checkpoint.bin`, temp
-  file + fsync + rename) of the global candidate chain, the per-shard
-  monitors, the per-source applied-sequence watermarks, the ingest
-  counters and the index id watermark.  After a successful checkpoint the
-  WAL is truncated; between checkpoints it holds exactly the batches the
-  checkpoint does not cover.
+* :class:`FeedWAL` — an append-only :mod:`~repro.storage.framedlog`
+  journal of every ingested snapshot batch ``(src, seq, t, oids, xs,
+  ys)`` plus feed ``finish`` markers, one frame each.  Appends are
+  flushed to the OS per record, so a SIGKILL'd process loses nothing it
+  acknowledged.
+* **checkpoints** — a periodic atomic snapshot (`checkpoint.bin`, the
+  ``RCP1`` header and one frame; temp file + fsync + rename) of the
+  global candidate chain, the per-shard monitors, the per-source
+  applied-sequence watermarks, the ingest counters and the index id
+  watermark.  After a successful checkpoint the WAL is truncated;
+  between checkpoints it holds exactly the batches the checkpoint does
+  not cover.
 * :class:`ServiceJournal` — both halves behind one handle, stored inside
   the service's catalog directory next to ``service.json``.
 
@@ -35,15 +37,15 @@ import logging
 import os
 import struct
 import time
-import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Tuple
+from typing import BinaryIO, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 
 from ..core.types import Timestamp
 from ..extensions.streaming import MonitorState
 from ..obs import METRICS
+from ..storage import framedlog
 from ..testing.faults import FAULTS
 
 logger = logging.getLogger(__name__)
@@ -58,9 +60,6 @@ _WAL_APPENDS = METRICS.counter(
 _WAL_BYTES = METRICS.counter(
     "repro_service_wal_bytes_total", "Bytes appended to the feed WAL."
 )
-_WAL_FSYNCS = METRICS.counter(
-    "repro_service_wal_fsyncs_total", "fsync calls issued by the feed WAL."
-)
 _CHECKPOINT_SECONDS = METRICS.histogram(
     "repro_service_checkpoint_seconds",
     "Time to encode + atomically persist one service checkpoint.",
@@ -73,8 +72,8 @@ _CHECKPOINT_BYTES = METRICS.counter(
 WAL_FILE = "feed.wal"
 CHECKPOINT_FILE = "checkpoint.bin"
 
+_WAL_NAME = "feed WAL"
 _CHECKPOINT_MAGIC = b"RCP1"
-_FRAME = struct.Struct(">II")  # crc32, payload length
 
 #: WAL record kinds.
 KIND_SNAPSHOT = 1
@@ -278,12 +277,16 @@ def _wal_segments(path: str) -> list:
     return [os.path.join(directory, name) for name in sorted(names)]
 
 
-class FeedWAL:
-    """CRC32-framed append-only journal of feed events.
+def _write_wal(handle: BinaryIO, data: bytes) -> None:
+    FAULTS.partial_write("service.wal.append", handle, data)
 
-    Frame: ``[u32 crc][u32 len][payload]`` with the checksum over the
-    payload, so a torn or bit-flipped tail is detected on replay and the
-    log recovers to the last good record.
+
+class FeedWAL:
+    """Append-only journal of feed events, one framed record per event.
+
+    Each file is a headerless :mod:`~repro.storage.framedlog` file, so a
+    torn or bit-flipped tail is detected on replay and the log recovers
+    to the last good record; reopening truncates that tail first.
 
     With ``segment_bytes`` set, the log rotates: once the active file
     (``feed.wal``) exceeds the limit it is atomically renamed to
@@ -294,23 +297,16 @@ class FeedWAL:
     bound total WAL disk between checkpoints.
     """
 
-    def __init__(
-        self,
-        path: str,
-        fsync: bool = False,
-        segment_bytes: Optional[int] = None,
-    ):
-        if segment_bytes is not None and segment_bytes < _FRAME.size:
+    def __init__(self, path: str, segment_bytes: Optional[int] = None):
+        if segment_bytes is not None and segment_bytes < framedlog.FRAME.size:
             raise ValueError(f"segment_bytes too small: {segment_bytes}")
         self.path = path
-        self.fsync = fsync
         self.segment_bytes = segment_bytes
         rotated = _wal_segments(path)
         self._rotate_seq = (
             int(rotated[-1].rsplit(".", 1)[1]) + 1 if rotated else 0
         )
-        self._file = open(path, "ab")
-        self._active_bytes = self._file.tell()
+        self._log = framedlog.FramedLog(path, _write_wal, _WAL_NAME)
 
     def append_snapshot(
         self,
@@ -340,18 +336,12 @@ class FeedWAL:
 
     def _append(self, payload: bytes) -> None:
         with _WAL_APPEND_SECONDS.time():
-            frame = _FRAME.pack(zlib.crc32(payload), len(payload)) + payload
-            FAULTS.partial_write("service.wal.append", self._file, frame)
-            self._file.flush()  # into the OS: survives a killed process
-            if self.fsync:
-                os.fsync(self._file.fileno())
-                _WAL_FSYNCS.inc()
+            written = self._log.append(payload)
         _WAL_APPENDS.inc()
-        _WAL_BYTES.inc(len(frame))
-        self._active_bytes += len(frame)
+        _WAL_BYTES.inc(written)
         if (
             self.segment_bytes is not None
-            and self._active_bytes >= self.segment_bytes
+            and self._log.size >= self.segment_bytes
         ):
             self._rotate()
 
@@ -363,29 +353,21 @@ class FeedWAL:
         after it, the reopened WAL starts a new (empty) active file and
         replay finds the sealed segment by name.
         """
-        self._file.close()
+        self._log.close()
         FAULTS.crash_point("service.wal.rotate")
         os.replace(self.path, f"{self.path}.{self._rotate_seq:06d}")
         self._rotate_seq += 1
-        self._file = open(self.path, "ab")
-        self._active_bytes = 0
-
-    def sync(self) -> None:
-        self._file.flush()
-        os.fsync(self._file.fileno())
-        _WAL_FSYNCS.inc()
+        self._log = framedlog.FramedLog(self.path, _write_wal, _WAL_NAME)
 
     def truncate(self) -> None:
         """Discard the log (its contents are covered by a checkpoint)."""
-        self._file.close()
         for segment in _wal_segments(self.path):
             os.remove(segment)
-        self._file = open(self.path, "wb")
-        self._active_bytes = 0
+        self._log.truncate()
 
     def bytes_total(self) -> int:
         """On-disk WAL bytes: sealed segments plus the active file."""
-        total = self._active_bytes
+        total = self._log.size
         for segment in _wal_segments(self.path):
             try:
                 total += os.path.getsize(segment)
@@ -394,7 +376,7 @@ class FeedWAL:
         return total
 
     def close(self) -> None:
-        self._file.close()
+        self._log.close()
 
     @staticmethod
     def replay(path: str) -> Iterator[WalRecord]:
@@ -405,47 +387,11 @@ class FeedWAL:
         it (even in later segments) are beyond the consistent prefix.
         """
         for segment in _wal_segments(path) + [path]:
-            records: list = []
-            clean = FeedWAL._replay_file(segment, records)
-            yield from records
-            if not clean:
+            scan = framedlog.read(segment, _WAL_NAME)
+            for payload in scan.payloads:
+                yield FeedWAL._decode(payload)
+            if scan.valid < scan.size:
                 return
-
-    @staticmethod
-    def _replay_file(path: str, out: list) -> bool:
-        """Scan one file into ``out``; False when it ended at a bad tail."""
-        if not os.path.exists(path):
-            return True
-        with open(path, "rb") as handle:
-            data = handle.read()
-        offset = 0
-        while offset + _FRAME.size <= len(data):
-            crc, length = _FRAME.unpack_from(data, offset)
-            start = offset + _FRAME.size
-            end = start + length
-            if end > len(data):
-                logger.warning(
-                    "feed WAL %s: torn record at offset %d (%d bytes dropped)",
-                    path, offset, len(data) - offset,
-                )
-                return False
-            payload = data[start:end]
-            if zlib.crc32(payload) != crc:
-                logger.warning(
-                    "feed WAL %s: checksum mismatch at offset %d "
-                    "(%d bytes dropped); recovered to last good record",
-                    path, offset, len(data) - offset,
-                )
-                return False
-            out.append(FeedWAL._decode(payload))
-            offset = end
-        if offset != len(data):
-            logger.warning(
-                "feed WAL %s: torn frame header at offset %d (%d bytes dropped)",
-                path, offset, len(data) - offset,
-            )
-            return False
-        return True
 
     @staticmethod
     def _decode(payload: bytes) -> WalRecord:
@@ -479,9 +425,6 @@ class ServiceJournal:
     checkpoint_every:
         Snapshot batches between automatic checkpoints.  The knob trades
         checkpoint write cost against WAL replay length after a crash.
-    fsync:
-        ``True`` additionally fsyncs every WAL append (survives machine
-        loss, not just process loss).  Checkpoints always fsync.
     wal_budget_bytes:
         Auto-checkpoint as soon as the WAL (all segments) exceeds this
         many bytes, independent of the record count — so disk usage
@@ -491,20 +434,14 @@ class ServiceJournal:
         Auto-checkpoint once this many seconds have passed since the
         last one (only if the WAL holds new records).  ``None`` disables
         the age trigger.
-    wal_segment_bytes:
-        Rotation size for the feed WAL; defaults to a quarter of the
-        byte budget (when one is set) so a budget-triggered checkpoint
-        covers a handful of sealed segments rather than one huge file.
     """
 
     def __init__(
         self,
         directory: str,
         checkpoint_every: int = 64,
-        fsync: bool = False,
         wal_budget_bytes: Optional[int] = 4 << 20,
         max_checkpoint_age: Optional[float] = None,
-        wal_segment_bytes: Optional[int] = None,
     ):
         if checkpoint_every < 1:
             raise ValueError(
@@ -522,12 +459,13 @@ class ServiceJournal:
         self.checkpoint_every = checkpoint_every
         self.wal_budget_bytes = wal_budget_bytes
         self.max_checkpoint_age = max_checkpoint_age
-        if wal_segment_bytes is None and wal_budget_bytes is not None:
-            wal_segment_bytes = max(64 * 1024, wal_budget_bytes // 4)
+        # A budget-triggered checkpoint then covers a handful of sealed
+        # segments rather than one huge file.
+        segment_bytes = None
+        if wal_budget_bytes is not None:
+            segment_bytes = max(64 * 1024, wal_budget_bytes // 4)
         os.makedirs(directory, exist_ok=True)
-        self.wal = FeedWAL(
-            self.wal_path, fsync=fsync, segment_bytes=wal_segment_bytes
-        )
+        self.wal = FeedWAL(self.wal_path, segment_bytes=segment_bytes)
         self.records_since_checkpoint = 0
         self.last_checkpoint_trigger: Optional[str] = None
         self._last_checkpoint_time = time.monotonic()
@@ -597,12 +535,7 @@ class ServiceJournal:
         whose records are filtered out by their sequence numbers.
         """
         with _CHECKPOINT_SECONDS.time():
-            payload = encode_checkpoint(state)
-            blob = (
-                _CHECKPOINT_MAGIC
-                + _FRAME.pack(zlib.crc32(payload), len(payload))
-                + payload
-            )
+            blob = _CHECKPOINT_MAGIC + framedlog.frame(encode_checkpoint(state))
             tmp_path = self.checkpoint_path + ".tmp"
             with open(tmp_path, "wb") as handle:
                 FAULTS.partial_write("service.checkpoint.write", handle, blob)
@@ -620,24 +553,14 @@ class ServiceJournal:
 
     def load_checkpoint(self) -> Optional[CheckpointState]:
         """The newest valid checkpoint, or ``None`` (fresh or corrupt)."""
-        path = self.checkpoint_path
-        if not os.path.exists(path):
-            return None
-        with open(path, "rb") as handle:
-            blob = handle.read()
-        header = len(_CHECKPOINT_MAGIC) + _FRAME.size
-        if len(blob) < header or blob[: len(_CHECKPOINT_MAGIC)] != _CHECKPOINT_MAGIC:
-            logger.warning("checkpoint %s: bad header; ignoring it", path)
-            return None
-        crc, length = _FRAME.unpack_from(blob, len(_CHECKPOINT_MAGIC))
-        payload = blob[header : header + length]
-        if len(payload) != length or zlib.crc32(payload) != crc:
-            logger.warning(
-                "checkpoint %s: truncated or corrupt (%d of %d payload "
-                "bytes); ignoring it", path, len(payload), length,
+        try:
+            scan = framedlog.read(
+                self.checkpoint_path, "checkpoint", _CHECKPOINT_MAGIC
             )
+        except ValueError as exc:
+            logger.warning("%s; ignoring it", exc)
             return None
-        return decode_checkpoint(payload)
+        return decode_checkpoint(scan.payloads[0]) if scan.payloads else None
 
     def pending_records(
         self, applied: Optional[Dict[str, int]] = None

@@ -274,8 +274,6 @@ class ConvoyIndex:
 
     def flush(self) -> None:
         self._backend.flush()
-        if self._cold is not None:
-            self._cold.flush()
 
     def close(self) -> None:
         self._backend.close()

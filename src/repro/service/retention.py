@@ -11,25 +11,24 @@ grow without bound.  A :class:`RetentionPolicy` bounds it two ways:
 
 Evicted rows are not lost: before the index forgets a convoy, its rows
 are appended to an append-only **cold segment** under the catalog
-directory (``cold/segment-NNNNNN.seg``).  Segments are self-describing —
-an 8-byte ``RCS1`` header, then CRC-framed groups of the same 16-byte
-key/value rows the live backends store (:mod:`repro.service.records`):
-one frame per convoy, carrying its HEAD, MEMBER and BBOX rows.  A torn
-tail (crash mid-append) invalidates only the final frame, exactly like
-the feed WAL.  :class:`ColdSegmentReader` scans the segments back into
-convoys for the query engine's ``include_cold=`` paths.
+directory (``cold/segment-NNNNNN.seg``), a :mod:`~repro.storage.framedlog`
+file with an 8-byte ``RCS1`` header and one frame per convoy: its HEAD,
+MEMBER and BBOX rows in the 16-byte key/value codec the live backends
+store (:mod:`repro.service.records`).  A torn tail (crash mid-append)
+loses only the final frame, exactly like the feed WAL.
+:class:`ColdSegmentReader` scans the segments back into convoys for the
+query engine's ``include_cold=`` paths.
 """
 
 from __future__ import annotations
 
 import os
-import struct
-import zlib
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from ..core.types import Convoy
 from ..obs import METRICS
+from ..storage import framedlog
 from ..testing.faults import FAULTS
 from .records import (
     TAG_BBOX,
@@ -55,8 +54,8 @@ _SEGMENT_SUFFIX = ".seg"
 
 _MAGIC = b"RCS1"
 _VERSION = 1
-_HEADER = struct.Struct(">4sHH")  # magic, version, reserved
-_FRAME = struct.Struct(">II")  # crc32(payload), payload length
+_HEADER = _MAGIC + _VERSION.to_bytes(2, "big") + bytes(2)  # + u16 reserved
+_NAME = "cold segment"
 _ROW = 32  # 16-byte key + 16-byte value
 
 _COLD_BYTES = METRICS.gauge(
@@ -124,6 +123,10 @@ def _segment_path(directory: str, seq: int) -> str:
     return os.path.join(directory, f"{_SEGMENT_PREFIX}{seq:06d}{_SEGMENT_SUFFIX}")
 
 
+def _write_cold(handle: BinaryIO, data: bytes) -> None:
+    FAULTS.partial_write("service.cold.append", handle, data)
+
+
 def _segment_files(directory: str) -> List[str]:
     if not os.path.isdir(directory):
         return []
@@ -170,8 +173,10 @@ class ColdSegmentReader:
         """Every archived convoy, id-ordered, deduplicated by id."""
         out: Dict[int, ColdConvoy] = {}
         for path in _segment_files(self.directory):
-            for cold in _scan_segment(path):
-                out[cold.convoy_id] = cold
+            for payload in framedlog.read(path, _NAME, _HEADER).payloads:
+                cold = _decode_frame(payload)
+                if cold is not None:
+                    out[cold.convoy_id] = cold
         return [out[cid] for cid in sorted(out)]
 
     def time_range(self, start: int, end: int) -> List[ColdConvoy]:
@@ -192,11 +197,8 @@ class ColdSegmentReader:
     def segment_count(self) -> int:
         return len(_segment_files(self.directory))
 
-    # No-ops so an index can flush/close its cold attachment uniformly,
+    # A no-op so an index can close its cold attachment uniformly,
     # whether it holds a writer (ColdSegmentStore) or just this reader.
-    def flush(self) -> None:
-        pass
-
     def close(self) -> None:
         pass
 
@@ -213,117 +215,46 @@ class ColdSegmentStore(ColdSegmentReader):
 
     def __init__(self, directory: str, *, segment_bytes: int = 1 << 20):
         super().__init__(directory)
-        if segment_bytes < _HEADER.size + _FRAME.size + _ROW:
+        if segment_bytes < len(_HEADER) + framedlog.FRAME.size + _ROW:
             raise ValueError(f"segment_bytes too small: {segment_bytes}")
         self.segment_bytes = segment_bytes
         os.makedirs(directory, exist_ok=True)
         existing = _segment_files(directory)
+        self._seq = 0
         if existing:
-            last = existing[-1]
-            base = os.path.basename(last)
+            base = os.path.basename(existing[-1])
             self._seq = int(base[len(_SEGMENT_PREFIX):-len(_SEGMENT_SUFFIX)])
-            valid = _valid_prefix(last)
-            if valid < os.path.getsize(last):
-                # A crash tore the final append.  Scans stop at the first
-                # bad frame, so appending after torn bytes would hide
-                # every later frame — drop them before reopening.
-                with open(last, "r+b") as fh:
-                    fh.truncate(valid)
-            self._file = open(last, "ab")
-            if valid < _HEADER.size:
-                self._file.write(_HEADER.pack(_MAGIC, _VERSION, 0))
-                self._file.flush()
-            self._active_bytes = self._file.tell()
-        else:
-            self._seq = 0
-            self._file = open(_segment_path(directory, 0), "ab")
-            if self._file.tell() == 0:
-                self._file.write(_HEADER.pack(_MAGIC, _VERSION, 0))
-                self._file.flush()
-            self._active_bytes = self._file.tell()
+        self._log = self._open_segment()
         self._publish_gauges()
+
+    def _open_segment(self) -> framedlog.FramedLog:
+        return framedlog.FramedLog(
+            _segment_path(self.directory, self._seq), _write_cold, _NAME,
+            _HEADER,
+        )
 
     # -- write side -----------------------------------------------------------
 
     def append(self, record) -> None:
         """Archive one evicted :class:`IndexedConvoy` (one CRC frame)."""
         payload = _record_rows(record)
-        frame = _FRAME.pack(zlib.crc32(payload), len(payload)) + payload
         if (
-            self._active_bytes > _HEADER.size
-            and self._active_bytes + len(frame) > self.segment_bytes
+            self._log.size > len(_HEADER)
+            and self._log.size + framedlog.FRAME.size + len(payload)
+            > self.segment_bytes
         ):
-            self._roll()
-        FAULTS.partial_write("service.cold.append", self._file, frame)
-        self._file.flush()
-        self._active_bytes += len(frame)
+            self._log.close()
+            self._seq += 1
+            self._log = self._open_segment()
+        self._log.append(payload)
         self._publish_gauges()
 
-    def _roll(self) -> None:
-        self._file.close()
-        self._seq += 1
-        self._file = open(_segment_path(self.directory, self._seq), "ab")
-        self._file.write(_HEADER.pack(_MAGIC, _VERSION, 0))
-        self._file.flush()
-        self._active_bytes = self._file.tell()
-
-    def flush(self) -> None:
-        self._file.flush()
-
     def close(self) -> None:
-        self._file.close()
+        self._log.close()
 
     def _publish_gauges(self) -> None:
         _COLD_BYTES.set(self.bytes_total())
         _COLD_SEGMENTS.set(self.segment_count())
-
-
-def _valid_prefix(path: str) -> int:
-    """Byte length of the longest verified frame prefix of one segment."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if len(data) < _HEADER.size:
-        return 0
-    magic, version, _ = _HEADER.unpack_from(data, 0)
-    if magic != _MAGIC or version != _VERSION:
-        raise ValueError(
-            f"{path}: not a cold segment (magic={magic!r} version={version})"
-        )
-    offset = _HEADER.size
-    while offset + _FRAME.size <= len(data):
-        crc, length = _FRAME.unpack_from(data, offset)
-        end = offset + _FRAME.size + length
-        if end > len(data) or zlib.crc32(data[offset + _FRAME.size:end]) != crc:
-            break
-        offset = end
-    return offset
-
-
-def _scan_segment(path: str) -> Iterator[ColdConvoy]:
-    """Yield convoys from one segment; stop quietly at a torn tail."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if len(data) < _HEADER.size:
-        return
-    magic, version, _ = _HEADER.unpack_from(data, 0)
-    if magic != _MAGIC or version != _VERSION:
-        raise ValueError(
-            f"{path}: not a cold segment (magic={magic!r} version={version})"
-        )
-    offset = _HEADER.size
-    while offset + _FRAME.size <= len(data):
-        crc, length = _FRAME.unpack_from(data, offset)
-        body_start = offset + _FRAME.size
-        body_end = body_start + length
-        if body_end > len(data):
-            return  # torn final frame
-        payload = data[body_start:body_end]
-        if zlib.crc32(payload) != crc:
-            return  # corrupt tail: everything before it was verified
-        cold = _decode_frame(payload)
-        if cold is not None:
-            yield cold
-        offset = body_end
 
 
 def _decode_frame(payload: bytes) -> Optional[ColdConvoy]:

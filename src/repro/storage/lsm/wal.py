@@ -1,11 +1,12 @@
 """Write-ahead log: durability for the memtable between flushes.
 
-Each entry is ``crc32 len(key) len(value) key value`` with 32-bit
-fields; the checksum covers the lengths and both payloads, so replay
-detects not just a truncated final record (a torn write) but also a
-bit-flipped or overwritten tail.  Recovery keeps every verified entry up
-to the first bad one and logs a warning for whatever was dropped — the
-same contract real LSM engines ship (RocksDB's ``kTolerateCorruptedTailRecords``).
+``wal.log`` is a headerless :mod:`~repro.storage.framedlog` file; each
+frame's payload is one write: ``>I`` key length, the key, then the
+value.  Replay keeps every verified entry up to the first torn or
+corrupt frame and logs a warning for whatever was dropped — the same
+contract real LSM engines ship (RocksDB's ``kTolerateCorruptedTailRecords``).
+Reopening cuts that tail off, so writes acknowledged after a crash are
+never hidden behind it.
 
 Appends are flushed to the OS on every record, so a killed *process*
 (SIGKILL) loses nothing that ``append`` returned for; surviving a killed
@@ -15,18 +16,18 @@ callers invoke at their own durability boundary.
 
 from __future__ import annotations
 
-import logging
-import os
 import struct
-import zlib
-from typing import Iterator, Tuple
+from typing import BinaryIO, Iterator, Tuple
 
 from ...testing.faults import FAULTS
+from .. import framedlog
 
-logger = logging.getLogger(__name__)
+_KEY_LEN = struct.Struct(">I")
+_NAME = "WAL"
 
-_HEADER = struct.Struct(">III")  # crc32, key length, value length
-_LENGTHS = struct.Struct(">II")
+
+def _write(handle: BinaryIO, data: bytes) -> None:
+    FAULTS.partial_write("lsm.wal.append", handle, data)
 
 
 class WriteAheadLog:
@@ -34,71 +35,25 @@ class WriteAheadLog:
 
     def __init__(self, path: str):
         self.path = path
-        self._file = open(path, "ab")
+        self._log = framedlog.FramedLog(path, _write, _NAME)
 
     def append(self, key: bytes, value: bytes) -> None:
-        lengths = _LENGTHS.pack(len(key), len(value))
-        crc = zlib.crc32(lengths)
-        crc = zlib.crc32(key, crc)
-        crc = zlib.crc32(value, crc)
-        record = struct.pack(">I", crc) + lengths + key + value
-        FAULTS.partial_write("lsm.wal.append", self._file, record)
-        # Per-record flush moves the bytes into the OS: a SIGKILL'd
-        # process then cannot lose an acknowledged append to Python's
-        # userspace buffer.
-        self._file.flush()
+        self._log.append(_KEY_LEN.pack(len(key)) + key + value)
 
     def sync(self) -> None:
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        self._log.sync()
 
     def truncate(self) -> None:
         """Discard the log after a successful memtable flush."""
-        self._file.close()
-        self._file = open(self.path, "wb")
+        self._log.truncate()
 
     def close(self) -> None:
-        self._file.close()
+        self._log.close()
 
     @staticmethod
     def replay(path: str) -> Iterator[Tuple[bytes, bytes]]:
-        """Yield verified entries in write order; stop at a bad tail.
-
-        A record that is truncated *or* fails its checksum ends the
-        replay: everything before it is recovered, the bad tail is
-        reported via :mod:`logging` and ignored (the next ``truncate``
-        discards it for good).
-        """
-        if not os.path.exists(path):
-            return
-        with open(path, "rb") as handle:
-            data = handle.read()
-        offset = 0
-        while offset + _HEADER.size <= len(data):
-            crc, key_len, value_len = _HEADER.unpack_from(data, offset)
-            body_start = offset + struct.calcsize(">I")
-            end = offset + _HEADER.size + key_len + value_len
-            if end > len(data):
-                logger.warning(
-                    "WAL %s: torn record at offset %d (%d bytes dropped)",
-                    path, offset, len(data) - offset,
-                )
-                return
-            if zlib.crc32(data[body_start:end]) != crc:
-                logger.warning(
-                    "WAL %s: checksum mismatch at offset %d "
-                    "(%d bytes dropped); recovered to last good record",
-                    path, offset, len(data) - offset,
-                )
-                return
-            key_start = offset + _HEADER.size
-            yield (
-                data[key_start : key_start + key_len],
-                data[key_start + key_len : end],
-            )
-            offset = end
-        if offset != len(data):
-            logger.warning(
-                "WAL %s: torn record header at offset %d (%d bytes dropped)",
-                path, offset, len(data) - offset,
-            )
+        """Yield verified entries in write order; stop at a bad tail."""
+        for payload in framedlog.read(path, _NAME).payloads:
+            (key_len,) = _KEY_LEN.unpack_from(payload)
+            split = _KEY_LEN.size + key_len
+            yield payload[_KEY_LEN.size:split], payload[split:]

@@ -122,6 +122,30 @@ class TestLsmKillAndRestart:
             assert reopened.get(_key(i)) == _value(i)
         reopened.close()
 
+    def test_writes_after_a_torn_put_survive_the_next_kill(self, tmp_path):
+        """Reopening cuts a torn WAL tail before appending behind it.
+
+        Replay stops at the first bad frame, so puts acknowledged after
+        the restart would be lost to the next kill if they were appended
+        behind the torn bytes.
+        """
+        directory = tmp_path / "lsm"
+        tree = self._tree(directory)
+        for i in range(5):
+            tree.put(_key(i), _value(i))
+        with FAULTS.armed("lsm.wal.append", partial=5):
+            with pytest.raises(InjectedCrash):
+                tree.put(_key(99), _value(99))
+        reopened = self._tree(directory)
+        for i in range(5, 10):
+            reopened.put(_key(i), _value(i))
+        del tree, reopened  # SIGKILL: no flush, no close
+        again = self._tree(directory)
+        for i in range(10):
+            assert again.get(_key(i)) == _value(i)
+        assert again.get(_key(99)) is None  # never acknowledged
+        again.close()
+
     def test_deletes_survive_the_same_crash(self, tmp_path):
         directory = tmp_path / "lsm"
         tree = self._tree(directory)

@@ -283,6 +283,44 @@ class TestServiceRecovery:
         assert _convoy_set(recovered.index.convoys()) == _baseline()
         index.close()
 
+    def test_ticks_acked_after_a_torn_append_survive_the_next_kill(
+        self, tmp_path
+    ):
+        """Recovery reopens the feed WAL at its valid prefix.
+
+        The tick-4 append dies 5 bytes into its frame.  Ticks 4-6,
+        acknowledged by the recovered service, must not land behind the
+        torn bytes, where the next recovery's replay would never reach
+        them: a client resuming after its last ack would then lose them.
+        """
+        directory = str(tmp_path / "svc")
+        service, _ = _durable_service(directory)
+        ticks = _ticks()
+        FAULTS.arm("service.wal.append", nth=4, partial=5)
+        with pytest.raises(InjectedCrash):
+            for t, oids, xs, ys in ticks:
+                service.observe(t, oids, xs, ys, seq=t)
+        FAULTS.disarm()
+
+        def restart():
+            index, _ = catalog.open_index(directory)
+            journal = ServiceJournal(directory, checkpoint_every=100)
+            return ConvoyIngestService.recover(Q, journal, index=index)
+
+        first = restart()
+        assert first.stats.ticks == 3
+        for t, oids, xs, ys in ticks[3:6]:
+            first.observe(t, oids, xs, ys, seq=t)
+        # Killed again before any checkpoint: walk away from ``first``.
+        second = restart()
+        assert second.stats.ticks == 6
+        for t, oids, xs, ys in ticks[6:]:
+            second.observe(t, oids, xs, ys, seq=t)
+        second.finish()
+        assert _convoy_set(second.closed_convoys) == _baseline()
+        assert _convoy_set(second.index.convoys()) == _baseline()
+        second.index.close()
+
     def test_recover_refuses_mismatched_shard_topology(self, tmp_path):
         from repro.service.sharding import GridSharder
 
@@ -396,8 +434,8 @@ class TestRetentionCrashRecovery:
 
         The fourth append emits only 5 of its bytes before the injected
         kill, leaving a torn frame on disk.  Replay must stop at the
-        last intact record — never yield a half-frame — and the recovery
-        flow (checkpoint, then truncate) starts the log clean again.
+        last intact record — never yield a half-frame — and a
+        checkpoint's truncate starts the log clean again.
         """
         path = str(tmp_path / "feed.wal")
         wal = FeedWAL(path)
@@ -412,8 +450,8 @@ class TestRetentionCrashRecovery:
         # dropped, not decoded.
         assert [r.seq for r in FeedWAL.replay(path)] == [1, 2, 3]
 
-        # Recovery checkpoints the replayed state and truncates; the log
-        # then accepts appends with no memory of the torn frame.
+        # Truncating (as a covering checkpoint does) leaves a log that
+        # accepts appends with no memory of the torn frame.
         reopened = FeedWAL(path)
         reopened.truncate()
         for seq in (100, 101, 102):
