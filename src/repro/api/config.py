@@ -8,7 +8,7 @@ replayed ``serve()`` — are configured from the same small vocabulary:
   construction;
 * :class:`SourceSpec` — which trajectory store the batch miner reads
   from (the §5 storage comparison);
-* :class:`StoreSpec` — which result backend closed convoys persist to;
+* :class:`StoreSpec` — whether closed convoys persist, and where;
 * :class:`ServeSpec` — the spatial shard grid and validation window of
   the serving pipeline.
 
@@ -23,23 +23,16 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from ..core.params import ConvoyQuery
 
-#: Canonical result-backend kinds plus the aliases the facade accepts.
-RESULT_STORE_KINDS = ("memory", "bptree", "lsmt")
-_RESULT_STORE_ALIASES = {
-    "mem": "memory",
-    "lsm": "lsmt",
-    "lsm-tree": "lsmt",
-    "btree": "bptree",
-    "b+tree": "bptree",
-    "bplustree": "bptree",
-}
+#: Canonical result-store kinds plus the aliases the facade accepts.
+RESULT_STORE_KINDS = ("memory", "lsmt")
+_RESULT_STORE_ALIASES = {"mem": "memory", "lsm": "lsmt", "lsm-tree": "lsmt"}
 
 #: Trajectory-store kinds a batch mine can read from (CLI ``--store``).
 SOURCE_STORE_KINDS = ("memory", "file", "rdbms", "lsmt")
 
 
 def normalize_store_kind(kind: str) -> str:
-    """Map a result-backend name or alias onto its canonical kind."""
+    """Map a result-store name or alias onto its canonical kind."""
     canonical = _RESULT_STORE_ALIASES.get(kind.lower(), kind.lower())
     if canonical not in RESULT_STORE_KINDS:
         raise ValueError(
@@ -91,7 +84,7 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class StoreSpec:
-    """Which result backend mined/served convoys persist to."""
+    """Whether mined/served convoys persist (``lsmt``, at ``path``)."""
 
     kind: str = "memory"
     path: Optional[str] = None

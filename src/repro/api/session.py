@@ -273,7 +273,7 @@ class ConvoySession:
         return self._replace(params=MiningParams.of(m, k, eps, **extras))
 
     def store(self, kind: str, path: Optional[str] = None) -> "ConvoySession":
-        """Persist results to a convoy-index backend (``lsm``/``bptree``)."""
+        """Persist results to an LSM convoy index at ``path`` (``lsm``)."""
         return self._replace(store=StoreSpec(kind, path))
 
     def read_from(self, kind: str, path: Optional[str] = None) -> "ConvoySession":

@@ -110,12 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="directory to persist the convoy index into (omit for in-memory)",
     )
     serve.add_argument(
-        "--store",
-        choices=("bptree", "lsmt"),
-        default="lsmt",
-        help="persistent index backend for --index-dir (default lsmt)",
-    )
-    serve.add_argument(
         "--shards",
         default=None,
         help="spatial shard grid, e.g. 1x1, 2x2, 4x2 "
@@ -436,7 +430,7 @@ def _serve(args: argparse.Namespace) -> int:
             .workers(args.workers)
         )
         if args.index_dir:
-            session = session.store(args.store, args.index_dir)
+            session = session.store("lsmt", args.index_dir)
         if args.durable:
             session = session.durable(args.checkpoint_every)
         if args.retain_window is not None or args.retain_max_rows is not None:
@@ -457,7 +451,7 @@ def _serve(args: argparse.Namespace) -> int:
     if args.http is not None:
         return _serve_http(handle, dataset, args)
     if args.index_dir:
-        print(f"index persisted to {args.index_dir} ({args.store})")
+        print(f"index persisted to {args.index_dir}")
         handle.close()
     return 0
 

@@ -88,7 +88,7 @@ from ..api.registry import get_miner, list_miners
 from ..api.schema import ParamSchema, SchemaError
 from ..core.params import ConvoyQuery
 from ..data.dataset import Dataset
-from ..obs import METRICS, TRACE_HEADER, TRACER, new_trace_id, rss_bytes
+from ..obs import METRICS, TRACE_HEADER, TRACER, new_trace_id
 from .protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -135,6 +135,12 @@ _SHED = METRICS.counter(
 
 #: Health states in escalation order; the gauge exports the position.
 HEALTH_STATES = ("healthy", "degraded", "draining")
+
+#: Writer-queue fill fraction at which the server turns *degraded* and
+#: starts shedding expensive read families (analytics, region scans)
+#: with 503 + ``Retry-After``, protecting the write path before the
+#: queue itself overflows.
+_DEGRADE_PENDING_RATIO = 0.8
 
 
 def _collect_server(server: "ConvoyServer"):
@@ -222,17 +228,9 @@ class ConvoyServer:
     request_timeout:
         Per-request deadline in seconds; a handler that exceeds it
         answers 504 (``None`` disables the deadline).
-    degrade_pending_ratio:
-        Writer-queue fill fraction at which the server turns *degraded*
-        and starts shedding expensive read families (analytics, region
-        scans) with 503 + ``Retry-After`` — protecting the write path
-        before the queue itself overflows.
     degrade_backlog:
         Retention backlog (rows eligible for eviction but still live)
         at which the server degrades.
-    degrade_rss_bytes:
-        Resident-memory watermark in bytes; ``None`` (default) leaves
-        memory out of the health calculation.
     """
 
     def __init__(
@@ -242,26 +240,17 @@ class ConvoyServer:
         *,
         max_pending_writes: int = 256,
         request_timeout: Optional[float] = 30.0,
-        degrade_pending_ratio: float = 0.8,
         degrade_backlog: int = 4096,
-        degrade_rss_bytes: Optional[int] = None,
     ):
         if max_pending_writes < 1:
             raise ValueError(
                 f"max_pending_writes must be >= 1, got {max_pending_writes}"
             )
-        if not 0.0 < degrade_pending_ratio <= 1.0:
-            raise ValueError(
-                f"degrade_pending_ratio must be in (0, 1], "
-                f"got {degrade_pending_ratio}"
-            )
         self.service = service
         self._started_at = time.time()
         self.request_timeout = request_timeout
         self.max_pending_writes = max_pending_writes
-        self.degrade_pending_ratio = degrade_pending_ratio
         self.degrade_backlog = degrade_backlog
-        self.degrade_rss_bytes = degrade_rss_bytes
         self._health = "healthy"
         self._health_transitions = 0
         self._points = _PointLog(dataset)
@@ -506,9 +495,8 @@ class ConvoyServer:
         """Recompute and return the serving health state.
 
         ``draining`` while a graceful stop is in flight; ``degraded``
-        when the writer queue, the retention backlog or (when a
-        watermark is set) resident memory crosses its threshold;
-        ``healthy`` otherwise.  Transitions are counted for the
+        when the writer queue or the retention backlog crosses its
+        threshold; ``healthy`` otherwise.  Transitions are counted for the
         ``repro_health_transitions_total`` metric.
         """
         state = "healthy"
@@ -525,20 +513,12 @@ class ConvoyServer:
         """Which degradation thresholds are currently exceeded, and by what."""
         pressures: Dict[str, float] = {}
         pending = self._write_queue.qsize()
-        if pending >= self.max_pending_writes * self.degrade_pending_ratio:
+        if pending >= self.max_pending_writes * _DEGRADE_PENDING_RATIO:
             pressures["pending_writes"] = float(pending)
-        backlog = self._retention_backlog()
+        backlog = self.service.index.retention_backlog()
         if backlog > self.degrade_backlog:
             pressures["retention_backlog"] = float(backlog)
-        if self.degrade_rss_bytes is not None:
-            rss = rss_bytes()
-            if rss > self.degrade_rss_bytes:
-                pressures["rss_bytes"] = float(rss)
         return pressures
-
-    def _retention_backlog(self) -> int:
-        backlog = getattr(self.service.index, "retention_backlog", None)
-        return backlog() if backlog is not None else 0
 
     def _shed_if_degraded(self) -> None:
         """Reject an expensive read while the server is under pressure.
@@ -566,7 +546,7 @@ class ConvoyServer:
             "health": health,
             "pressures": self._health_pressures(),
             "pending_writes": self._write_queue.qsize(),
-            "retention_backlog": self._retention_backlog(),
+            "retention_backlog": index.retention_backlog(),
             "protocol": PROTOCOL_VERSION,
             "convoys": len(index),
             "index_version": index.version,
@@ -583,6 +563,7 @@ class ConvoyServer:
             dict(labels)["route"]: int(value)
             for _, _, _, labels, value in _REQUESTS.samples()
         }
+        index = self.service.index
         return 200, {
             "requests": sum(by_route.values()),
             "errors": int(_ERRORS.value),
@@ -603,10 +584,10 @@ class ConvoyServer:
                 "hit_rate": engine.cache_stats.hit_rate,
             },
             "index": {
-                "convoys": len(self.service.index),
-                "version": self.service.index.version,
-                "evicted": getattr(self.service.index, "evicted_total", 0),
-                "retention_backlog": self._retention_backlog(),
+                "convoys": len(index),
+                "version": index.version,
+                "evicted": index.evicted_total,
+                "retention_backlog": index.retention_backlog(),
             },
             "ingest": None if ingest is None else {
                 "ticks": ingest.ticks,

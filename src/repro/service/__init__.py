@@ -7,14 +7,6 @@ arrive (sharded spatially, reconciled exactly at the borders), persist
 convoys as they close, and query them at interactive latency.
 """
 
-from .backends import (
-    BACKENDS,
-    BPlusTreeBackend,
-    LSMResultBackend,
-    MemoryResultBackend,
-    ResultBackend,
-    open_backend,
-)
 from .catalog import create_index, open_index
 from .index import BBox, ConvoyIndex, IndexedConvoy
 from .ingest import ConvoyIngestService, IngestStats
@@ -23,9 +15,7 @@ from .reconcile import merge_fragments
 from .sharding import GridSharder, ShardView
 
 __all__ = [
-    "BACKENDS",
     "BBox",
-    "BPlusTreeBackend",
     "CacheStats",
     "ConvoyIndex",
     "ConvoyIngestService",
@@ -33,12 +23,8 @@ __all__ = [
     "GridSharder",
     "IndexedConvoy",
     "IngestStats",
-    "LSMResultBackend",
-    "MemoryResultBackend",
-    "ResultBackend",
     "ShardView",
     "create_index",
     "merge_fragments",
-    "open_backend",
     "open_index",
 ]

@@ -2,12 +2,13 @@
 
 A serve run leaves behind a self-describing directory::
 
-    <dir>/service.json    # backend kind + the (m, k, eps) query
-    <dir>/convoys.bpt     # backend "bptree"
-    <dir>/convoys.lsm/    # backend "lsmt"
+    <dir>/service.json    # backend "lsmt" + the (m, k, eps) query
+    <dir>/convoys.lsm/    # the LSM tree of HEAD/MEMBER/BBOX rows
 
 so a later ``repro-convoy query`` (or another process entirely) can
-reopen the index without being told how it was written.
+reopen the index without being told how it was written.  Older builds
+could also persist into a B+tree (``"backend": "bptree"``); such a
+directory is refused, and has to be served again.
 """
 
 from __future__ import annotations
@@ -17,32 +18,34 @@ import os
 from typing import Tuple
 
 from ..core.params import ConvoyQuery
-from .backends import open_backend
+from ..storage.lsm.tree import LSMTree
 from .index import ConvoyIndex
 
 META_FILE = "service.json"
 
-_BACKEND_PATHS = {"bptree": "convoys.bpt", "lsmt": "convoys.lsm"}
+#: The one persistent index backend, as ``service.json`` names it.
+_BACKEND = "lsmt"
+_TREE_DIR = "convoys.lsm"
 
 
-def backend_path(directory: str, kind: str) -> str:
-    try:
-        return os.path.join(directory, _BACKEND_PATHS[kind])
-    except KeyError:
+def _require_lsmt(kind: str, where: str) -> None:
+    if kind != _BACKEND:
         raise ValueError(
-            f"backend {kind!r} is not persistable; choose from "
-            f"{sorted(_BACKEND_PATHS)}"
-        ) from None
+            f"{where}: index backend {kind!r} is not supported; only "
+            f"{_BACKEND!r} persists (serve the feed again into a new directory)"
+        )
 
 
 def create_index(directory: str, kind: str, query: ConvoyQuery) -> ConvoyIndex:
-    """Create (or reopen) a persistent index directory for ``kind``.
+    """Create (or reopen) a persistent index directory.
 
-    Reopening an existing directory requires the same backend and query
-    parameters — an index must never mix convoys mined under different
-    ``(m, k, eps)`` while its descriptor claims one set.
+    ``kind`` must be ``"lsmt"``; anything else is refused before the
+    directory is touched.  Reopening an existing directory requires the
+    same backend and query parameters — an index must never mix convoys
+    mined under different ``(m, k, eps)`` while its descriptor claims
+    one set.
     """
-    store_path = backend_path(directory, kind)  # validates kind up front
+    _require_lsmt(kind, directory)
     meta_path = os.path.join(directory, META_FILE)
     if os.path.exists(meta_path):
         existing = _read_meta(meta_path)
@@ -54,15 +57,15 @@ def create_index(directory: str, kind: str, query: ConvoyQuery) -> ConvoyIndex:
                 f"{kind}/{wanted}"
             )
     os.makedirs(directory, exist_ok=True)
-    index = ConvoyIndex(open_backend(kind, store_path))
+    index = ConvoyIndex(LSMTree(os.path.join(directory, _TREE_DIR)))
     # The descriptor is written last, so a directory with a meta file is
-    # always one whose backend actually opened.
+    # always one whose tree actually opened.
     meta = {
         "format": "repro-convoy-service",
         "backend": kind,
         "query": {"m": query.m, "k": query.k, "eps": query.eps},
     }
-    with open(os.path.join(directory, META_FILE), "w") as fh:
+    with open(meta_path, "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return index
@@ -89,10 +92,6 @@ def open_index(directory: str) -> Tuple[ConvoyIndex, ConvoyQuery]:
             f"{directory} is not a service index (missing {META_FILE})"
         )
     meta = _read_meta(meta_path)
-    kind = meta["backend"]
-    query = ConvoyQuery(
-        m=int(meta["query"]["m"]),
-        k=int(meta["query"]["k"]),
-        eps=float(meta["query"]["eps"]),
-    )
-    return ConvoyIndex(open_backend(kind, backend_path(directory, kind))), query
+    _require_lsmt(meta["backend"], directory)
+    query = ConvoyQuery(**meta["query"])
+    return ConvoyIndex(LSMTree(os.path.join(directory, _TREE_DIR))), query

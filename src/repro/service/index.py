@@ -2,14 +2,18 @@
 
 The index is the serving half of the mining/serving split: the ingest
 service appends convoys as they close, queries read them back at
-interactive latency.  Two access paths are materialised both on the
-backend (scannable after a cold reopen) and in memory (hot):
+interactive latency.  Every query runs on in-memory access paths:
 
 * a **temporal interval index** keyed by convoy end time — an overlap
   query starts its scan at the first convoy ending inside the range;
 * an **object inverted index** mapping object id to convoy history,
-  backed in memory by per-convoy bitset masks (the PR-1 algebra), so
-  membership and contains-all queries are single ``&`` operations.
+  backed by per-convoy bitset masks (the PR-1 algebra), so membership
+  and contains-all queries are single ``&`` operations;
+* a **region grid** over the convoy bounding boxes.
+
+A persistent index also writes each convoy's HEAD, MEMBER and BBOX rows
+(:mod:`repro.service.records`) into one :class:`~repro.storage.lsm.tree.
+LSMTree`; a reopen scans them back and rebuilds the access paths.
 
 Insertion keeps the store *maximal* (the paper's ``update()``): a convoy
 subsumed by a stored one is dropped, stored convoys subsumed by a new
@@ -28,14 +32,12 @@ from ..core.bitset import ObjectInterner, ObjectMask
 from ..core.types import Convoy, sort_convoys
 from ..obs import METRICS
 from ..testing.faults import FAULTS
-from .backends import MemoryResultBackend, ResultBackend
+from ..storage.lsm.tree import LSMTree
 from .records import (
     FIELD_LIMIT,
     TAG_BBOX,
     TAG_HEAD,
     TAG_MEMBER,
-    TAG_OBJ,
-    TAG_TIME,
     decode_pair,
     decode_result_key,
     decode_xy,
@@ -97,9 +99,9 @@ _LIVE_ROWS = METRICS.gauge(
 )
 
 #: Reserved meta row (tag 0 sorts below every data tag): value is
-#: ``(min_live_cid, next_id)``.  Written by retention on a lazy-delete
-#: backend so a cold reopen can skip aged rows the compactor has not
-#: dropped yet and never reuse a retired convoy id.
+#: ``(min_live_cid, next_id)``.  Written by retention so a cold reopen
+#: can skip aged rows the compactor has not dropped yet and never reuse a
+#: retired convoy id.
 _HORIZON_KEY = encode_pair(0, 0)
 
 
@@ -194,15 +196,16 @@ class _RegionGrid:
 
 
 class ConvoyIndex:
-    """Maximality-preserving convoy store over a :class:`ResultBackend`.
+    """Maximality-preserving convoy store, in memory or over an LSM tree.
 
-    ``version`` increments on every mutation; the query engine keys its
-    result cache on it, so a cache entry can never outlive the data it
-    was computed from.
+    With ``tree=None`` nothing is written anywhere.  ``version``
+    increments on every mutation; the query engine keys its result cache
+    on it, so a cache entry can never outlive the data it was computed
+    from.
     """
 
-    def __init__(self, backend: Optional[ResultBackend] = None):
-        self._backend = backend if backend is not None else MemoryResultBackend()
+    def __init__(self, tree: Optional[LSMTree] = None):
+        self._tree = tree
         self._records: Dict[int, IndexedConvoy] = {}
         self._interner = ObjectInterner()
         self._masks: Dict[int, ObjectMask] = {}
@@ -225,40 +228,37 @@ class ConvoyIndex:
         self._cold: Optional[ColdSegmentStore] = None
         self._retention_cutoff = 0
         self.evicted_total = 0
-        # Backends with compaction (the LSM) retire rows lazily: retention
-        # skips the per-row tombstones and lets the next compaction drop
-        # the rows via the predicate.  Everyone else deletes eagerly.
-        self._lazy_delete = hasattr(self._backend, "set_drop_predicate")
         # Convoy ids below this are retired; assigned monotonically with
         # close order, so retention eviction always retires a cid prefix.
         self._min_live = 0
-        self._load()
+        if tree is not None:
+            self._load(tree)
 
     # -- persistence ---------------------------------------------------------
 
-    def _load(self) -> None:
-        """Rebuild the hot state from the backend (cold reopen).
+    def _load(self, tree: LSMTree) -> None:
+        """Rebuild the hot state from the tree (cold reopen).
 
-        A lazy-delete backend may still hold rows of retired convoys the
-        compactor has not dropped yet; the persisted horizon row says
-        which cids those are, so the reopen skips them and resumes id
-        assignment past every id ever handed out.
+        The tree may still hold rows of retired convoys the compactor
+        has not dropped yet; the persisted horizon row says which cids
+        those are, so the reopen skips them and resumes id assignment
+        past every id ever handed out.
         """
         horizon_next = 0
-        horizon = self._backend.get(_HORIZON_KEY)
+        horizon = tree.get(_HORIZON_KEY)
         if horizon is not None:
             self._min_live, horizon_next = decode_pair(horizon)
         heads: Dict[int, Tuple[int, int]] = {}
         bboxes: Dict[int, Dict[int, Tuple[float, float]]] = {}
         members: Dict[int, List[bytes]] = {}
-        for key, value in self._backend.range(*tag_range(TAG_HEAD)):
+        for key, value in tree.range(*tag_range(TAG_HEAD)):
             _, cid, _ = decode_result_key(key)
             if cid >= self._min_live:
                 heads[cid] = decode_pair(value)
-        for key, value in self._backend.range(*tag_range(TAG_BBOX)):
+        for key, value in tree.range(*tag_range(TAG_BBOX)):
             _, cid, row = decode_result_key(key)
             bboxes.setdefault(cid, {})[row] = decode_xy(value)
-        for key, value in self._backend.range(*tag_range(TAG_MEMBER)):
+        for key, value in tree.range(*tag_range(TAG_MEMBER)):
             _, cid, _chunk = decode_result_key(key)
             members.setdefault(cid, []).append(value)
         for cid, (start, end) in sorted(heads.items()):
@@ -273,16 +273,14 @@ class ConvoyIndex:
             self._push_drop_predicate()
 
     def flush(self) -> None:
-        self._backend.flush()
+        if self._tree is not None:
+            self._tree.flush()
 
     def close(self) -> None:
-        self._backend.close()
+        if self._tree is not None:
+            self._tree.close()
         if self._cold is not None:
             self._cold.close()
-
-    @property
-    def backend(self) -> ResultBackend:
-        return self._backend
 
     # -- mutation ------------------------------------------------------------
 
@@ -334,7 +332,8 @@ class ConvoyIndex:
             self._evict(cid)
         cid = self._next_id
         self._next_id += 1
-        self._write(cid, convoy, bbox)
+        if self._tree is not None:
+            self._write(cid, convoy, bbox)
         self._install(cid, convoy, bbox)
         _LIVE_ROWS.set(len(self._records))
         self.version += 1
@@ -346,40 +345,29 @@ class ConvoyIndex:
                 listener.on_add(record)
         return cid
 
-    def add_all(
-        self, convoys: Sequence[Convoy], bboxes: Optional[Sequence[Optional[BBox]]] = None
-    ) -> List[Optional[int]]:
-        if bboxes is None:
-            bboxes = [None] * len(convoys)
-        return [self.add(c, b) for c, b in zip(convoys, bboxes)]
-
     def _write(self, cid: int, convoy: Convoy, bbox: Optional[BBox]) -> None:
-        put = self._backend.put
-        span = encode_pair(convoy.start, convoy.end)
-        put(result_key(TAG_HEAD, cid, 0), span)
+        put = self._tree.put
+        put(result_key(TAG_HEAD, cid, 0), encode_pair(convoy.start, convoy.end))
         for chunk, value in member_chunks(tuple(sorted(convoy.objects))):
             put(result_key(TAG_MEMBER, cid, chunk), value)
         if bbox is not None:
             put(result_key(TAG_BBOX, cid, 0), encode_xy(bbox[0], bbox[1]))
             put(result_key(TAG_BBOX, cid, 1), encode_xy(bbox[2], bbox[3]))
-        put(result_key(TAG_TIME, convoy.end, cid), span)
-        for oid in convoy.objects:
-            put(result_key(TAG_OBJ, oid, cid), span)
 
     def _evict(self, cid: int, *, delete_rows: bool = True) -> None:
-        """Drop a convoy from the hot state and (eagerly) the backend.
+        """Drop a convoy from the hot state and tombstone its rows.
 
-        Retention on a lazy-delete backend passes ``delete_rows=False``:
-        instead of tombstoning every row, the aged rows stay put until
-        the next compaction discards them via the drop predicate — the
-        persisted horizon keeps reopens from resurrecting them.
+        Retention passes ``delete_rows=False``: instead of tombstoning
+        every row, the aged rows stay put until the next compaction
+        discards them via the drop predicate — the persisted horizon
+        keeps reopens from resurrecting them.
         """
         record = self._records.pop(cid)
         convoy = record.convoy
         self._masks.pop(cid, None)
         self._by_end.pop(bisect_left(self._by_end, (convoy.end, cid)))
-        if delete_rows:
-            delete = self._backend.delete
+        if delete_rows and self._tree is not None:
+            delete = self._tree.delete
             delete(result_key(TAG_HEAD, cid, 0))
             n_chunks = (len(convoy.objects) + 1) // 2
             for chunk in range(n_chunks):
@@ -387,9 +375,6 @@ class ConvoyIndex:
             if record.bbox is not None:
                 delete(result_key(TAG_BBOX, cid, 0))
                 delete(result_key(TAG_BBOX, cid, 1))
-            delete(result_key(TAG_TIME, convoy.end, cid))
-            for oid in convoy.objects:
-                delete(result_key(TAG_OBJ, oid, cid))
         for oid in convoy.objects:
             ids = self._by_object.get(oid)
             if ids is not None:
@@ -481,8 +466,8 @@ class ConvoyIndex:
             self._min_live = min(self._records, default=self._next_id)
             _EVICTED.inc(evicted)
             _LIVE_ROWS.set(len(self._records))
-            if self._lazy_delete:
-                self._backend.put(
+            if self._tree is not None:
+                self._tree.put(
                     _HORIZON_KEY, encode_pair(self._min_live, self._next_id)
                 )
                 self._push_drop_predicate()
@@ -494,34 +479,27 @@ class ConvoyIndex:
         if self._cold is not None:
             self._cold.append(record)  # crash point: service.cold.append
         FAULTS.crash_point("service.retention.evict")
-        self._evict(cid, delete_rows=not self._lazy_delete)
+        self._evict(cid, delete_rows=False)
         self.evicted_total += 1
 
     def _push_drop_predicate(self) -> None:
-        """Teach an LSM backend to drop aged rows during compaction.
+        """Teach the tree to drop aged rows during compaction.
 
         Retention retires convoys in close order and ids are assigned
         monotonically, so every id below the smallest live one belongs
         to a convoy that is either retired (rows still on disk, dropped
         here) or subsumption-evicted (rows already tombstoned; the
-        predicate lets compaction discard the tombstones too).  TIME and
-        OBJ rows carry the cid in their low field, HEAD/MEMBER/BBOX in
-        the high one; the horizon meta row is never matched (tag 0).
+        predicate lets compaction discard the tombstones too).  Every
+        data row carries its cid in the high field; the horizon meta
+        row is never matched (tag 0).
         """
-        hook = getattr(self._backend, "set_drop_predicate", None)
-        if hook is None:
-            return
         min_live = self._min_live
 
         def drop(key: bytes) -> bool:
-            tag, a, b = decode_result_key(key)
-            if tag == TAG_TIME or tag == TAG_OBJ:
-                return b < min_live
-            if tag == 0:
-                return False
-            return a < min_live  # HEAD / MEMBER / BBOX are keyed by cid
+            tag, cid, _ = decode_result_key(key)
+            return tag != 0 and cid < min_live
 
-        hook(drop)
+        self._tree.set_drop_predicate(drop)
 
     # -- hot query paths -----------------------------------------------------
 
@@ -548,10 +526,6 @@ class ConvoyIndex:
         if listener not in self._listeners:
             self._listeners.append(listener)
 
-    def remove_listener(self, listener) -> None:
-        if listener in self._listeners:
-            self._listeners.remove(listener)
-
     def convoys(self) -> List[Convoy]:
         """Every stored convoy (the maximal set), deterministically ordered."""
         return sort_convoys(
@@ -562,8 +536,8 @@ class ConvoyIndex:
     def ids_overlapping(self, start: int, end: int) -> List[int]:
         """Convoys whose lifespan intersects ``[start, end]``.
 
-        Mirrors the persistent temporal index: bisect to the first convoy
-        ending at or after ``start``, then filter by start time.
+        Bisects to the first convoy ending at or after ``start``, then
+        filters by start time.
         """
         first = bisect_left(self._by_end, (start, -1))
         # The slice is one atomic list copy; a concurrently evicted cid
@@ -633,26 +607,4 @@ class ConvoyIndex:
             and xmin <= record.bbox[2]
             and record.bbox[1] <= ymax
             and ymin <= record.bbox[3]
-        )
-
-    # -- cold (backend-scanning) paths, exercised by the persistence tests ---
-
-    def scan_overlapping(self, start: int, end: int) -> List[int]:
-        """Temporal-index scan on the backend: end >= start, then filter."""
-        ids = []
-        for key, value in self._backend.range(*tag_range(TAG_TIME, a_lo=start)):
-            _, _end, cid = decode_result_key(key)
-            convoy_start, _ = decode_pair(value)
-            # Lazy-deleted rows of retired convoys may linger until the
-            # next compaction; the horizon filters them out of scans.
-            if convoy_start <= end and cid >= self._min_live:
-                ids.append(cid)
-        return ids
-
-    def scan_object(self, oid: int) -> List[int]:
-        """Object-index scan on the backend."""
-        return sorted(
-            cid
-            for key, _ in self._backend.range(*tag_range(TAG_OBJ, oid, oid))
-            if (cid := decode_result_key(key)[2]) >= self._min_live
         )

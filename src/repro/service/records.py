@@ -1,9 +1,8 @@
-"""Fixed-size record encodings for the persistent convoy result store.
+"""Fixed-size record encodings for the persistent convoy index.
 
-The storage substrates this index layers on (:class:`~repro.storage.bptree.
-BPlusTree`, :class:`~repro.storage.lsm.tree.LSMTree`) move 16-byte keys and
-16-byte values, so a convoy is decomposed into several rows sharing one
-``convoy_id``:
+The index persists into an :class:`~repro.storage.lsm.tree.LSMTree`, which
+moves 16-byte keys and 16-byte values, so a convoy is decomposed into
+several rows sharing one ``convoy_id``:
 
 ====================  =========================  =========================
 row                   key ``(tag | a, b)``       value
@@ -11,15 +10,13 @@ row                   key ``(tag | a, b)``       value
 head                  ``(HEAD | convoy_id, 0)``  ``(start, end)``
 bbox (2 rows)         ``(BBOX | convoy_id, i)``  ``(xmin, ymin)`` / ``(xmax, ymax)``
 members (chunked)     ``(MEMBER | id, chunk)``   two oids, ``-1`` padding
-temporal index        ``(TIME | end, id)``       ``(start, end)``
-object index          ``(OBJ | oid, id)``        ``(start, end)``
 ====================  =========================  =========================
 
 Keys pack a 16-bit tag above a 48-bit field into the first big-endian
-int64, so byte order equals ``(tag, a, b)`` order: one range scan walks a
-whole table, a ``(TIME | t1, 0)`` scan starts exactly at the first convoy
-ending at or after ``t1``, and an ``(OBJ | oid, *)`` scan is one object's
-full convoy history.
+int64, so byte order equals ``(tag, a, b)`` order and one range scan
+walks a whole table.  These are exactly the rows a reopen reads back.
+Tags 4 and 5 stay reserved: index directories written by older builds
+hold temporal and object rows under them, which a reopen ignores.
 """
 
 from __future__ import annotations
@@ -33,8 +30,6 @@ _XY = struct.Struct(">dd")
 TAG_HEAD = 1
 TAG_BBOX = 2
 TAG_MEMBER = 3
-TAG_TIME = 4
-TAG_OBJ = 5
 
 _TAG_SHIFT = 48
 FIELD_LIMIT = 1 << _TAG_SHIFT

@@ -13,8 +13,8 @@ Evicted rows are not lost: before the index forgets a convoy, its rows
 are appended to an append-only **cold segment** under the catalog
 directory (``cold/segment-NNNNNN.seg``), a :mod:`~repro.storage.framedlog`
 file with an 8-byte ``RCS1`` header and one frame per convoy: its HEAD,
-MEMBER and BBOX rows in the 16-byte key/value codec the live backends
-store (:mod:`repro.service.records`).  A torn tail (crash mid-append)
+MEMBER and BBOX rows in the 16-byte key/value codec the live index
+stores (:mod:`repro.service.records`).  A torn tail (crash mid-append)
 loses only the final frame, exactly like the feed WAL.
 :class:`ColdSegmentReader` scans the segments back into convoys for the
 query engine's ``include_cold=`` paths.

@@ -115,10 +115,25 @@ class FramedLog:
         return handle
 
     def append(self, payload: bytes) -> int:
-        """Write and flush one frame; returns its size in bytes."""
+        """Write and flush one frame; returns its size in bytes.
+
+        A write that fails with :class:`OSError` (a full disk, say) may
+        have put part of the frame on disk; the file is cut back to
+        :attr:`size` before the error propagates, so later appends do
+        not land behind a torn frame that replay stops at.
+        """
         data = frame(payload)
-        self._write(self._file, data)
-        self._file.flush()
+        try:
+            self._write(self._file, data)
+            self._file.flush()
+        except OSError:
+            try:
+                self._file.close()  # may re-raise: buffered bytes won't fit
+            except OSError:
+                pass
+            os.truncate(self.path, self.size)
+            self._file = open(self.path, "ab")
+            raise
         self.size += len(data)
         return len(data)
 

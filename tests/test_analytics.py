@@ -18,12 +18,12 @@ from repro.cli import main
 from repro.core import Convoy
 from repro.data import save_csv
 from repro.server import serve_in_background
-from repro.service import ConvoyIndex, open_backend
+from repro.service import ConvoyIndex
 from repro.service.index import _GRID_REBUILDS
 
 
 def _index():
-    return ConvoyIndex(open_backend("memory"))
+    return ConvoyIndex()
 
 
 # -- window geometry ---------------------------------------------------------
@@ -174,14 +174,6 @@ class TestIndexListeners:
         # Sub-convoy arrivals store nothing and must notify nothing.
         assert index.add(Convoy.of([1, 2], 3, 4)) is None
         assert recorder.added == [small, 1, big]
-
-    def test_removed_listener_goes_quiet(self):
-        index, recorder = _index(), _Recorder()
-        index.add_listener(recorder)
-        index.remove_listener(recorder)
-        index.remove_listener(recorder)  # double-remove is a no-op
-        index.add(Convoy.of([1, 2, 3], 0, 5))
-        assert recorder.added == []
 
     def test_records_snapshot_sorted_by_cid(self):
         index = _index()

@@ -136,6 +136,17 @@ class TestFluentBuilder:
         with pytest.raises(ValueError, match="unknown result store"):
             ConvoySession.blank().store("parquet", "/tmp/x")
 
+    def test_result_stores_are_memory_and_lsmt(self):
+        blank = ConvoySession.blank()
+        for alias, kind in (("memory", "memory"), ("mem", "memory"),
+                            ("lsmt", "lsmt"), ("lsm", "lsmt"),
+                            ("LSM-Tree", "lsmt")):
+            path = None if kind == "memory" else "idx"
+            assert blank.store(alias, path).describe()["store"]["kind"] == kind
+        for retired in ("bptree", "btree", "b+tree", "bplustree"):
+            with pytest.raises(ValueError, match="unknown result store"):
+                blank.store(retired, "idx")
+
 
 class TestBatchMode:
     def test_from_csv_round_trip(self, tmp_path, workload, k2hop_convoys):

@@ -1,5 +1,8 @@
 """Command-line interface round-trips."""
 
+import json
+import os
+
 import pytest
 
 from repro.cli import main
@@ -110,11 +113,10 @@ class TestServeQuery:
         assert "ingest:" in out and "persisted" in out
         return path
 
-    @pytest.mark.parametrize("store", ["bptree", "lsmt"])
-    def test_serve_matches_mine(self, planted_csv, tmp_path, store, capsys):
-        path = str(tmp_path / f"idx-{store}")
+    def test_serve_matches_mine(self, planted_csv, tmp_path, capsys):
+        path = str(tmp_path / "idx")
         assert main(["serve", planted_csv, "-m", "3", "-k", "10", "--eps",
-                     "10.0", "--index-dir", path, "--store", store]) == 0
+                     "10.0", "--index-dir", path]) == 0
         served = [line for line in capsys.readouterr().out.splitlines()
                   if line.startswith("[")]
         assert main(["mine", planted_csv, "-m", "3", "-k", "10",
@@ -122,6 +124,20 @@ class TestServeQuery:
         mined = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("[")]
         assert sorted(served) == sorted(mined)
+
+    def test_index_dir_alone_persists_to_lsm(self, index_dir):
+        assert "convoys.lsm" in os.listdir(index_dir)
+        with open(os.path.join(index_dir, "service.json")) as fh:
+            assert json.load(fh)["backend"] == "lsmt"
+
+    def test_serve_has_no_store_flag(self, planted_csv, tmp_path, capsys):
+        path = str(tmp_path / "idx")
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", planted_csv, "-m", "3", "-k", "10", "--eps",
+                  "10.0", "--index-dir", path, "--store", "lsmt"])
+        assert exit_info.value.code == 2
+        assert "--store" in capsys.readouterr().err
+        assert not os.path.exists(path)
 
     def test_query_time_range(self, index_dir, capsys):
         assert main(["query", index_dir, "--time", "0:1000"]) == 0

@@ -12,6 +12,7 @@ pin the three formats it left unchanged.
 """
 
 import bisect
+import errno
 import os
 from types import SimpleNamespace
 
@@ -33,8 +34,10 @@ from repro.service.retention import (
     ColdSegmentReader,
     ColdSegmentStore,
 )
+from repro.storage.framedlog import FramedLog, read
 from repro.storage.lsm import WriteAheadLog
 from repro.storage.record import encode_key, encode_value
+from repro.testing.faults import InjectedCrash
 
 
 def _checkpoint_state():
@@ -240,6 +243,78 @@ def test_flipped_byte_ends_replay_before_its_record(built, tmp_path):
         flipped[offset] ^= 0xFF
         intact = bisect.bisect_right(ends, offset)
         _check(fmt, tmp_path, bytes(flipped), intact)
+
+
+class TestFailedAppend:
+    """An append whose write dies after 5 of its bytes reached the file."""
+
+    def _log(self, tmp_path):
+        path = str(tmp_path / "test.log")
+        failures = []
+
+        def write(handle, data):
+            if failures:
+                handle.write(data[:5])
+                handle.flush()
+                raise failures.pop()
+            handle.write(data)
+
+        return path, FramedLog(path, write, "test-log"), failures
+
+    def test_os_error_is_cut_back_so_later_appends_replay(self, tmp_path):
+        path, log, failures = self._log(tmp_path)
+        log.append(b"one")
+        failures.append(OSError(errno.ENOSPC, "No space left on device"))
+        with pytest.raises(OSError):
+            log.append(b"two")
+        assert os.path.getsize(path) == log.size
+        log.append(b"three")
+        assert os.path.getsize(path) == log.size
+        log.close()
+        assert read(path, "test-log").payloads == [b"one", b"three"]
+
+    def test_every_failed_append_is_cut_back(self, tmp_path, caplog):
+        path, log, failures = self._log(tmp_path)
+        log.append(b"one")
+        for payload in (b"two", b"three"):
+            failures.append(OSError(errno.ENOSPC, "No space left on device"))
+            with pytest.raises(OSError):
+                log.append(payload)
+        log.append(b"four")
+        log.close()
+        assert read(path, "test-log").payloads == [b"one", b"four"]
+        assert "dropped" not in caplog.text  # no torn frame left to skip
+
+    def test_a_failed_append_still_in_the_buffer_is_not_replayed(self, tmp_path):
+        """The whole frame sat in the handle's buffer when the write failed:
+        the append was refused, so its frame must not reach disk later."""
+        path = str(tmp_path / "test.log")
+        failing = []
+
+        def write(handle, data):
+            handle.write(data)
+            if failing:
+                raise failing.pop()
+
+        log = FramedLog(path, write, "test-log")
+        log.append(b"one")
+        failing.append(OSError(errno.EIO, "I/O error"))
+        with pytest.raises(OSError):
+            log.append(b"two")
+        assert os.path.getsize(path) == log.size
+        log.append(b"three")
+        log.close()
+        assert read(path, "test-log").payloads == [b"one", b"three"]
+
+    def test_injected_crash_leaves_the_torn_tail_a_kill_leaves(self, tmp_path):
+        path, log, failures = self._log(tmp_path)
+        size = log.append(b"one")
+        failures.append(InjectedCrash("test.append"))
+        with pytest.raises(InjectedCrash):
+            log.append(b"two")
+        log.close()
+        assert os.path.getsize(path) == size + 5
+        assert read(path, "test-log") == ([b"one"], size, size + 5)
 
 
 class TestGoldenBytes:

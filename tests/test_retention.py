@@ -10,9 +10,10 @@ Pins the tentpole guarantees of the retention subsystem:
   appends;
 * WAL disk usage is bounded by byte-/age-triggered checkpoints and
   segment rotation;
-* lazy deletion on the LSMT backend discards aged rows at compaction
-  (counted in ``IOStats.compaction_drops``) and reopens behind the
-  persisted horizon without resurrecting or re-numbering convoys.
+* lazy deletion in the index's LSM tree discards aged rows at
+  compaction (counted in ``IOStats.compaction_drops``) and reopens
+  behind the persisted horizon without resurrecting or re-numbering
+  convoys.
 """
 
 import os
@@ -31,14 +32,15 @@ from repro.data import (
     generate_trucks,
 )
 from repro.service import catalog
-from repro.service.backends import LSMResultBackend
 from repro.service.durability import FeedWAL, ServiceJournal
 from repro.service.index import ConvoyIndex
+from repro.service.records import TAG_HEAD, decode_result_key, tag_range
 from repro.service.retention import (
     COLD_DIR,
     ColdSegmentReader,
     ColdSegmentStore,
 )
+from repro.storage.lsm.tree import LSMTree
 
 _WORKLOADS = {
     "trucks": (
@@ -298,20 +300,20 @@ class TestLazyDeleteBackend:
             assert added is not None
 
     def test_compaction_drops_aged_rows(self, tmp_path):
-        backend = LSMResultBackend(
+        tree = LSMTree(
             str(tmp_path / "lsm"), memtable_limit=512, compaction_fanin=3
         )
-        index = ConvoyIndex(backend)
+        index = ConvoyIndex(tree)
         index.set_retention(RetentionPolicy(window=8, partition=1))
         self._fill(index)
         index.apply_retention(44)
         assert index.evicted_total > 0
-        before = backend.stats.compaction_drops
+        before = tree.stats.compaction_drops
         # Push more rows through so flushes trigger compactions that see
         # the aged keys.
         self._fill_more(index, start=40, n=40)
         index.flush()
-        assert backend.stats.compaction_drops > before
+        assert tree.stats.compaction_drops > before
         index.close()
 
     def _fill_more(self, index, start, n):
@@ -341,9 +343,11 @@ class TestLazyDeleteBackend:
         # horizon keeps them invisible and convoy ids monotone.
         assert reopened.convoys() == live
         assert reopened.next_id >= next_id
-        assert {r.convoy_id for r in reopened.records()} == set(
-            reopened.scan_overlapping(0, 10_000)
-        )
+        assert {r.convoy_id for r in reopened.records()} == {
+            cid
+            for key, _ in reopened._tree.range(*tag_range(TAG_HEAD))
+            if (cid := decode_result_key(key)[1]) >= reopened._min_live
+        }
         fresh = reopened.add(Convoy.of([1, 2, 3], 50, 60))
         assert fresh is not None and fresh >= next_id
         reopened.close()
