@@ -30,7 +30,7 @@ from repro.data import (
     generate_tdrive,
     generate_trucks,
 )
-from repro.storage import FlatFileStore, LSMTStore, MemoryStore, RelationalStore
+from repro.storage import build_store
 
 # ---------------------------------------------------------------------------
 # Workloads (scaled-down stand-ins for §6.2; see DESIGN.md substitutions)
@@ -121,16 +121,7 @@ def run_k2(dataset: Dataset, query: ConvoyQuery, store: str = "memory") -> RunRe
     """Time one cold k/2-hop run over the chosen storage backend."""
     workdir = tempfile.mkdtemp(prefix="k2bench-")
     try:
-        if store == "memory":
-            source = MemoryStore(dataset)
-        elif store == "file":
-            source = FlatFileStore.create(f"{workdir}/data.bin", dataset)
-        elif store == "rdbms":
-            source = RelationalStore.create(f"{workdir}/data.db", dataset)
-        elif store == "lsmt":
-            source = LSMTStore.create(f"{workdir}/lsm", dataset)
-        else:
-            raise ValueError(store)
+        source = build_store(store, dataset, workdir)
         started = time.perf_counter()
         result = K2Hop(query).mine(source)
         elapsed = time.perf_counter() - started

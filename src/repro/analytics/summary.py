@@ -264,10 +264,6 @@ class SummaryStore:
             math.floor((bbox[1] + bbox[3]) / 2.0 / size),
         )
 
-    def members_of(self, oid: int) -> Set[int]:
-        """Convoy ids containing the object (summary-side inverted map)."""
-        return self._by_object.get(int(oid), set())
-
     def _stat_of(self, record: IndexedConvoy) -> ConvoyStat:
         convoy = record.convoy
         return ConvoyStat(

@@ -22,13 +22,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple, Union
 
 from ..core.params import ConvoyQuery
+from ..storage import STORE_KINDS
 
 #: Canonical result-store kinds plus the aliases the facade accepts.
 RESULT_STORE_KINDS = ("memory", "lsmt")
 _RESULT_STORE_ALIASES = {"mem": "memory", "lsm": "lsmt", "lsm-tree": "lsmt"}
 
 #: Trajectory-store kinds a batch mine can read from (CLI ``--store``).
-SOURCE_STORE_KINDS = ("memory", "file", "rdbms", "lsmt")
+SOURCE_STORE_KINDS = STORE_KINDS
 
 
 def normalize_store_kind(kind: str) -> str:

@@ -34,8 +34,6 @@ import tempfile
 import threading
 from typing import Any, Callable, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from ..core.params import ConvoyQuery
 from ..core.source import TrajectorySource
 from ..core.types import Convoy, Timestamp
@@ -562,23 +560,17 @@ class ConvoySession:
     ) -> SessionResult:
         import contextlib
 
-        from .. import storage
+        from ..storage import build_store
 
         with contextlib.ExitStack() as stack:
             # A caller-supplied path keeps the built store files on disk
             # (for inspection/reuse); without one the store lives in a
             # temporary directory for just this mine.
             base = spec.path or stack.enter_context(tempfile.TemporaryDirectory())
-            if spec.kind == "file":
-                store = storage.FlatFileStore.create(f"{base}/data.bin", dataset)
-            elif spec.kind == "rdbms":
-                store = storage.RelationalStore.create(f"{base}/data.db", dataset)
-            else:
-                store = storage.LSMTStore.create(f"{base}/lsm", dataset)
+            store = build_store(spec.kind, dataset, base)
             stack.callback(store.close)
             result = miner.mine(store, params.query, **params.extra)
-            if hasattr(store, "stats"):
-                result.source_io = store.stats.summary()
+            result.source_io = store.stats.summary()
         return result
 
     def _open_index(self, query: ConvoyQuery):
@@ -597,60 +589,11 @@ class ConvoySession:
         dataset: Optional[Dataset],
     ) -> None:
         """Write a batch result into a persistent convoy index."""
-        bboxes = _BBoxComputer(dataset)
         index, _ = self._open_index(query)
         try:
             for convoy in convoys:
-                index.add(convoy, bbox=bboxes.of(convoy))
+                bbox = None if dataset is None else dataset.member_bbox(convoy)
+                index.add(convoy, bbox=bbox)
             index.flush()
         finally:
             index.close()
-
-
-class _BBoxComputer:
-    """Per-convoy member bounding boxes over one dataset.
-
-    Rows are grouped by object id once up front, so each convoy touches
-    only its members' points instead of re-scanning the whole dataset
-    (which would make persisting r convoys O(r * n_points)).
-    """
-
-    def __init__(self, dataset: Optional[Dataset]):
-        self._dataset = dataset
-        if dataset is None or not len(dataset.oids):
-            self._uniq = None
-            return
-        order = np.argsort(dataset.oids, kind="stable")
-        self._ts = dataset.ts[order]
-        self._xs = dataset.xs[order]
-        self._ys = dataset.ys[order]
-        self._uniq, counts = np.unique(dataset.oids[order], return_counts=True)
-        self._ends = np.cumsum(counts)
-        self._starts = self._ends - counts
-
-    def of(self, convoy: Convoy):
-        """Bounding box of the members over the lifespan (or ``None``)."""
-        if self._uniq is None:
-            return None
-        slots = np.searchsorted(
-            self._uniq, np.fromiter(convoy.objects, dtype=np.int64)
-        )
-        slots = slots[slots < len(self._uniq)]
-        rows = np.concatenate(
-            [
-                np.arange(self._starts[s], self._ends[s])
-                for s in slots
-                if self._uniq[s] in convoy.objects
-            ]
-            or [np.empty(0, dtype=np.int64)]
-        )
-        ts = self._ts[rows]
-        rows = rows[(ts >= convoy.start) & (ts <= convoy.end)]
-        if not len(rows):
-            return None
-        return (
-            float(self._xs[rows].min()),
-            float(self._ys[rows].min()),
-            float(self._xs[rows].max()),
-            float(self._ys[rows].max()),
-        )

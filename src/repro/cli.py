@@ -34,6 +34,7 @@ from .data import (
     plant_convoys,
     save_csv,
 )
+from .storage import STORE_KINDS
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     mine.add_argument(
         "--store",
-        choices=("memory", "file", "rdbms", "lsmt"),
+        choices=STORE_KINDS,
         default="memory",
         help="storage backend to mine from",
     )

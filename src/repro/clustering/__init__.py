@@ -11,7 +11,6 @@ from .dbscan import (
     density_cluster_indices_scalar,
 )
 from .grid import GridIndex
-from .kdtree import KDTree
 from .neighbors import BruteForceIndex
 from .unionfind import UnionFind
 from .whole import one_cluster_ticks
@@ -19,7 +18,6 @@ from .whole import one_cluster_ticks
 __all__ = [
     "BruteForceIndex",
     "GridIndex",
-    "KDTree",
     "UnionFind",
     "build_neighbor_csr",
     "cluster_snapshot",

@@ -1,4 +1,4 @@
-"""From-scratch DBSCAN (Ester et al. 1996) over pluggable neighbor indexes.
+"""From-scratch DBSCAN (Ester et al. 1996).
 
 Semantics match the paper exactly:
 
@@ -18,10 +18,9 @@ Two engines implement the same semantics:
 * the **vectorized** engine (default): a single-pass CSR neighborhood
   builder (:mod:`repro.clustering.csr`) feeding a union-find
   connected-components pass over core points — no per-point index queries;
-* the **scalar** engine: the original per-point BFS, kept as the
-  correctness oracle and selectable via
-  :func:`repro.core.enginemode.scalar_engine` (or by passing an explicit
-  ``index``, which only the scalar path can honor).
+* the **scalar** engine: the original per-point BFS over a brute-force
+  or grid neighbor index, kept as the correctness oracle and selectable
+  via :func:`repro.core.enginemode.scalar_engine`.
 
 Both produce identical labels and identical Definition-2 cluster lists;
 ``tests/test_vectorized_engine.py`` asserts this property across random
@@ -101,17 +100,15 @@ def _core_components(xs, ys, eps, min_pts):
 
 
 def dbscan_labels(
-    xs: np.ndarray, ys: np.ndarray, eps: float, min_pts: int, index=None
+    xs: np.ndarray, ys: np.ndarray, eps: float, min_pts: int
 ) -> np.ndarray:
     """Label each point with its cluster id, or -1 for noise.
 
     Cluster ids are consecutive integers starting at 0, assigned in order of
-    discovery (deterministic given input order).  Passing an explicit
-    ``index`` forces the scalar per-point-query path, since only that path
-    can consult a custom neighbor index.
+    discovery (deterministic given input order).
     """
-    if index is not None or use_scalar():
-        return dbscan_labels_scalar(xs, ys, eps, min_pts, index)
+    if use_scalar():
+        return dbscan_labels_scalar(xs, ys, eps, min_pts)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     n = len(xs)
@@ -135,15 +132,14 @@ def dbscan_labels(
 
 
 def dbscan_labels_scalar(
-    xs: np.ndarray, ys: np.ndarray, eps: float, min_pts: int, index=None
+    xs: np.ndarray, ys: np.ndarray, eps: float, min_pts: int
 ) -> np.ndarray:
     """Scalar per-point BFS labelling (the original engine; test oracle)."""
     n = len(xs)
     labels = np.full(n, _UNVISITED, dtype=np.int64)
     if n == 0:
         return labels
-    if index is None:
-        index = _make_index(xs, ys, eps)
+    index = _make_index(xs, ys, eps)
     cluster_id = 0
     for seed in range(n):
         if labels[seed] != _UNVISITED:
@@ -243,7 +239,7 @@ def _tiny_cluster_indices(
 
 
 def density_cluster_indices(
-    xs: np.ndarray, ys: np.ndarray, eps: float, m: int, index=None
+    xs: np.ndarray, ys: np.ndarray, eps: float, m: int
 ) -> List[List[int]]:
     """Maximal density-connected sets (Definition 2), as point-index lists.
 
@@ -256,8 +252,8 @@ def density_cluster_indices(
     Each cluster is a connected component of the core-point graph plus all
     border points within ``eps`` of any of its cores.
     """
-    if index is not None or use_scalar():
-        return density_cluster_indices_scalar(xs, ys, eps, m, index)
+    if use_scalar():
+        return density_cluster_indices_scalar(xs, ys, eps, m)
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     n = len(xs)
@@ -296,14 +292,13 @@ def _assemble_components(rows, cols, core, core_ids, comp_of) -> List[List[int]]
 
 
 def density_cluster_indices_scalar(
-    xs: np.ndarray, ys: np.ndarray, eps: float, m: int, index=None
+    xs: np.ndarray, ys: np.ndarray, eps: float, m: int
 ) -> List[List[int]]:
     """Scalar per-point BFS implementation (the original engine; oracle)."""
     n = len(xs)
     if n == 0:
         return []
-    if index is None:
-        index = _make_index(xs, ys, eps)
+    index = _make_index(xs, ys, eps)
     neighbor_lists = [index.neighbors(i, eps) for i in range(n)]
     core = np.array([len(nl) >= m for nl in neighbor_lists], dtype=bool)
     component = np.full(n, -1, dtype=np.int64)

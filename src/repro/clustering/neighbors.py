@@ -7,17 +7,9 @@ itself, matching the paper's ``NH(p, eps) = {q | d(p, q) <= eps}``.
 
 from __future__ import annotations
 
-from typing import List, Protocol
+from typing import List
 
 import numpy as np
-
-
-class NeighborIndex(Protocol):
-    """Protocol for spatial indexes over a fixed set of 2-D points."""
-
-    def neighbors(self, i: int, eps: float) -> np.ndarray:
-        """Indices of all points within ``eps`` of point ``i`` (inclusive)."""
-        ...
 
 
 class BruteForceIndex:

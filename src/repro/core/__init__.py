@@ -2,9 +2,8 @@
 
 from .bench_points import HopWindow, benchmark_points, hop_windows
 from .bitset import ObjectInterner, is_submask, mask_size
-from .engine import ConvoyEngine, advise_store
 from .enginemode import engine_mode, scalar_engine, set_engine_mode, vectorized_engine
-from .k2hop import K2Hop, MiningResult, mine_convoys
+from .k2hop import K2Hop, MiningResult
 from .params import ConvoyQuery
 from .stats import MiningStats
 from .types import (
@@ -22,11 +21,9 @@ from .types import (
 __all__ = [
     "Cluster",
     "Convoy",
-    "ConvoyEngine",
     "ConvoySet",
     "ConvoyQuery",
     "ObjectInterner",
-    "advise_store",
     "HopWindow",
     "K2Hop",
     "MiningResult",
@@ -40,7 +37,6 @@ __all__ = [
     "is_submask",
     "mask_size",
     "maximal_convoys",
-    "mine_convoys",
     "scalar_engine",
     "set_engine_mode",
     "sort_convoys",

@@ -140,10 +140,3 @@ class K2Hop:
             convoys = validate_convoys(source, candidates, query, stats)
         stats.convoy_count = len(convoys)
         return MiningResult(sort_convoys(convoys), stats)
-
-
-def mine_convoys(
-    source: TrajectorySource, m: int, k: int, eps: float
-) -> MiningResult:
-    """One-call public API: mine maximal FC convoys with k/2-hop."""
-    return K2Hop(ConvoyQuery(m=m, k=k, eps=eps)).mine(source)

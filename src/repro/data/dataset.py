@@ -6,7 +6,8 @@ on-disk stores use — and expose the access paths the miners need:
 
 * ``snapshot(t)``: every object present at tick ``t`` (benchmark clustering);
 * ``points_for(t, oids)``: a subset of one snapshot (HWMT re-clustering);
-* restriction views by object set and time interval (validation).
+* restriction views by object set and time interval (validation);
+* ``member_bbox(convoy)``: where a convoy's members went (the convoy index).
 """
 
 from __future__ import annotations
@@ -17,10 +18,13 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.source import select_sorted_rows
-from ..core.types import Timestamp
+from ..core.types import Convoy, Timestamp
 
 #: A snapshot is (object ids, xs, ys) with aligned rows sorted by object id.
 Snapshot = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: An axis-aligned bounding box ``(xmin, ymin, xmax, ymax)``.
+BBox = Tuple[float, float, float, float]
 
 _EMPTY_SNAPSHOT: Snapshot = (
     np.empty(0, dtype=np.int64),
@@ -239,6 +243,20 @@ class Dataset:
             self.oids[lo:hi], self.ts[lo:hi], self.xs[lo:hi], self.ys[lo:hi],
             presorted=True,
         )
+
+    def member_bbox(self, convoy: Convoy) -> Optional[BBox]:
+        """Bounding box of the convoy's members' rows over its lifetime.
+
+        ``None`` when no row of a member falls inside the lifetime.
+        """
+        lo = np.searchsorted(self.ts, convoy.start, side="left")
+        hi = np.searchsorted(self.ts, convoy.end, side="right")
+        members = np.fromiter(convoy.objects, dtype=np.int64, count=convoy.size)
+        keep = np.isin(self.oids[lo:hi], members)
+        if not keep.any():
+            return None
+        xs, ys = self.xs[lo:hi][keep], self.ys[lo:hi][keep]
+        return (float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
 
     def iter_records(self) -> Iterator[Tuple[int, int, float, float]]:
         """Yield ``(oid, t, x, y)`` rows in clustered order."""

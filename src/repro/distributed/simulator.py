@@ -104,8 +104,3 @@ class JobReport:
         return spec.job_overhead_s + sum(
             stage.simulated_seconds(spec) for stage in self.stages
         )
-
-
-def simulate_pipeline(jobs: Sequence[JobReport], spec: ClusterSpec) -> float:
-    """Wall-clock of a pipeline of jobs executed back to back."""
-    return sum(job.simulated_seconds(spec) for job in jobs)

@@ -7,7 +7,8 @@ or on demand for the still-open candidates.
 
 The candidate maintenance is the corrected (PCCD-style) intersection
 chain; an optional validation hook reduces emissions to fully connected
-convoys using the recorded history window.
+convoys using the recorded history window, and bounds each emission's
+members over that window.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..clustering import cluster_snapshot
 from ..core.params import ConvoyQuery
 from ..core.types import Cluster, Convoy, TimeInterval, Timestamp, maximal_convoys
 from ..core.validate import validate_convoys
-from ..data.dataset import Dataset
+from ..data.dataset import BBox, Dataset
 
 
 @dataclass(frozen=True)
@@ -50,11 +51,17 @@ class StreamingConvoyMonitor:
     query:
         The (m, k, eps) convoy query to monitor.
     history:
-        Number of recent snapshots retained for validation.  ``0`` disables
-        full-connectivity validation (emissions are then the *partially
-        connected* convoys, like CMC/PCCD).
+        Number of recent snapshots retained for validation and bounding
+        boxes.  ``0`` disables both (emissions are then the *partially
+        connected* convoys, like CMC/PCCD, with no bounding box).
     on_convoy:
         Optional callback invoked with each convoy the moment it closes.
+
+    After each :meth:`observe` / :meth:`observe_clusters` / :meth:`finish`
+    call, :attr:`last_bboxes` holds the bounding box of every convoy the
+    call returned, in the same order: the members' extent over the part
+    of the convoy's lifetime the window still covered at close time, or
+    ``None`` when no covered tick holds a member.
     """
 
     def __init__(
@@ -74,6 +81,7 @@ class StreamingConvoyMonitor:
         self._window: Deque[Tuple[Timestamp, np.ndarray, np.ndarray, np.ndarray]] = (
             deque()
         )
+        self.last_bboxes: List[Optional[BBox]] = []
 
     # -- ingestion -----------------------------------------------------------
 
@@ -116,6 +124,7 @@ class StreamingConvoyMonitor:
         """
         if self._last_time is not None and t <= self._last_time:
             raise ValueError(f"non-monotonic timestamp {t}")
+        self.last_bboxes = []
         gap_emissions: List[Convoy] = []
         if self._last_time is not None and t > self._last_time + 1:
             gap_emissions = self._flush_all(self._last_time)
@@ -154,10 +163,10 @@ class StreamingConvoyMonitor:
 
     def finish(self) -> List[Convoy]:
         """Close every remaining candidate (end of stream)."""
+        self.last_bboxes = []
         if self._last_time is None:
             return []
-        emitted = self._flush_all(self._last_time)
-        return emitted
+        return self._flush_all(self._last_time)
 
     # -- results ---------------------------------------------------------------
 
@@ -242,26 +251,29 @@ class StreamingConvoyMonitor:
             return []
         convoy = Convoy(objects, TimeInterval(first, last))
         results = [convoy]
+        rows = None
         if self.history:
-            results = self._validate(convoy)
+            rows, covered = self._member_rows(convoy)
+            # A convoy that outran the window cannot be validated: the
+            # stream cannot rewind, so it is emitted as-is.
+            if covered:
+                results = validate_convoys(rows, [convoy], self.query)
         for result in results:
             self._closed.append(result)
+            self.last_bboxes.append(
+                None if rows is None else rows.member_bbox(result)
+            )
             if self.on_convoy is not None:
                 self.on_convoy(result)
         return results
 
-    def _validate(self, convoy: Convoy) -> List[Convoy]:
-        """Validate against the retained history window (best effort).
+    def _member_rows(self, convoy: Convoy) -> Tuple[Dataset, bool]:
+        """The members' rows at the window ticks inside the convoy's
+        lifetime, and whether the window covers that whole lifetime.
 
-        If the convoy extends beyond the window, only the covered suffix
-        can be checked; the uncovered prefix is emitted unvalidated with
-        the interval annotated as-is (the stream cannot rewind).
+        Validation and the bounding boxes of what it emits read only
+        these rows, so they are cut from the retained arrays once.
         """
-        covered = {t for t, *_ in self._window}
-        if not all(t in covered for t in convoy.interval):
-            return [convoy]
-        # Validation reads only the convoy's members over its interval, so
-        # the dataset holds just those rows, cut from the retained arrays.
         members = np.fromiter(convoy.objects, dtype=np.int64, count=convoy.size)
         columns: Tuple[List[np.ndarray], ...] = ([], [], [], [])
         for t, oid_arr, xs_arr, ys_arr in self._window:
@@ -272,8 +284,11 @@ class StreamingConvoyMonitor:
                 columns[1].append(np.full(len(rows), t, dtype=np.int64))
                 columns[2].append(xs_arr[keep])
                 columns[3].append(ys_arr[keep])
-        dataset = Dataset(*(np.concatenate(column) for column in columns))
-        return validate_convoys(dataset, [convoy], self.query)
+        if not columns[0]:
+            return Dataset.empty(), False
+        # Window ticks ascend without repeats, so counting them suffices.
+        covered = len(columns[0]) == convoy.duration
+        return Dataset(*(np.concatenate(column) for column in columns)), covered
 
 
 def replay(

@@ -79,7 +79,8 @@ _CHECKPOINT_MAGIC = b"RCP1"
 KIND_SNAPSHOT = 1
 KIND_FINISH = 2
 
-#: Fixed field order of the persisted ingest counters.
+#: The ingest counters: their order is the checkpoint format, and each is
+#: exported as ``repro_ingest_<name>_total``.
 STAT_FIELDS = (
     "ticks", "points", "halo_copies", "clusters", "border_merges",
     "closed_convoys", "indexed_convoys", "duplicates", "checkpoints",

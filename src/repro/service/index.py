@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.bitset import ObjectInterner, ObjectMask
 from ..core.types import Convoy, sort_convoys
+from ..data.dataset import BBox
 from ..obs import METRICS
 from ..testing.faults import FAULTS
 from ..storage.lsm.tree import LSMTree
@@ -49,8 +50,6 @@ from .records import (
     unpack_members,
 )
 from .retention import ColdSegmentStore, RetentionPolicy
-
-BBox = Tuple[float, float, float, float]  # (xmin, ymin, xmax, ymax)
 
 
 def _retry_copy(copy):

@@ -13,7 +13,8 @@ maintains three tiers of state:
    closed convoys match batch mining;
 3. **persistent index** — every closed convoy is appended to a
    :class:`~repro.service.index.ConvoyIndex` together with its bounding
-   box over the retained history, ready for queries.
+   box over the retained history (computed by the global chain at close
+   time, from the rows validation reads), ready for queries.
 
 With ``history`` covering a convoy's lifetime the emitted convoys are
 validated to full connectivity, which makes the query engine's answers
@@ -76,11 +77,6 @@ _CHAIN_SECONDS = METRICS.histogram(
     "Global candidate-chain update time per snapshot.",
 )
 
-_INGEST_COUNTER_FIELDS = (
-    "ticks", "points", "halo_copies", "clusters", "border_merges",
-    "closed_convoys", "indexed_convoys", "duplicates", "checkpoints",
-)
-
 
 def _collect_ingest(service: "ConvoyIngestService"):
     help_ = "Feed-side ingest counters."
@@ -88,7 +84,7 @@ def _collect_ingest(service: "ConvoyIngestService"):
     samples = [
         ("repro_ingest_%s_total" % name, "counter", help_, (),
          float(getattr(stats, name)))
-        for name in _INGEST_COUNTER_FIELDS
+        for name in STAT_FIELDS
     ]
     samples.append((
         "repro_ingest_recovered_records", "gauge",
@@ -469,7 +465,7 @@ class ConvoyIngestService:
                     t, clusters, snapshot=(oid_arr, xs_arr, ys_arr)
                 )
             with TRACER.span("ingest.index", closed=len(closed)):
-                self._publish(closed)
+                self._publish(closed, self._chain.last_bboxes)
             if self.index.retention is not None:
                 with TRACER.span("ingest.retention"):
                     self.index.apply_retention(int(t))
@@ -480,7 +476,7 @@ class ConvoyIngestService:
             monitor.finish()
         last = self._chain.last_time
         closed = self._chain.finish()
-        self._publish(closed)
+        self._publish(closed, self._chain.last_bboxes)
         if self.index.retention is not None and last is not None:
             self.index.apply_retention(int(last))
         return closed
@@ -510,40 +506,12 @@ class ConvoyIngestService:
             )
         return list(self._pool.map(one, enumerate(views)))
 
-    def _publish(self, convoys: List[Convoy]) -> None:
-        for convoy in convoys:
+    def _publish(
+        self, convoys: List[Convoy], bboxes: Sequence[Optional[BBox]]
+    ) -> None:
+        for convoy, bbox in zip(convoys, bboxes):
             self.stats.closed_convoys += 1
-            if self.index.add(convoy, bbox=self._bbox_of(convoy)) is not None:
+            if self.index.add(convoy, bbox=bbox) is not None:
                 self.stats.indexed_convoys += 1
             if self.on_convoy is not None:
                 self.on_convoy(convoy)
-
-    def _bbox_of(self, convoy: Convoy) -> Optional[BBox]:
-        """Bounding box of the members over the retained history.
-
-        Covers the part of the convoy's lifetime still inside the history
-        window; ``None`` when no covered tick holds a member position.
-        """
-        window = self._chain.retained_history
-        if not window:
-            return None
-        members = np.fromiter(sorted(convoy.objects), dtype=np.int64)
-        xmin = ymin = np.inf
-        xmax = ymax = -np.inf
-        seen = False
-        for t, oids, xs, ys in window:  # ascending by t
-            if t > convoy.end:
-                break
-            if t < convoy.start or not len(oids):
-                continue
-            mask = np.isin(oids, members)
-            if not mask.any():
-                continue
-            seen = True
-            xmin = min(xmin, float(xs[mask].min()))
-            xmax = max(xmax, float(xs[mask].max()))
-            ymin = min(ymin, float(ys[mask].min()))
-            ymax = max(ymax, float(ys[mask].max()))
-        if not seen:
-            return None
-        return (xmin, ymin, xmax, ymax)

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import BinaryIO, Dict, List, Optional, Tuple
 
 from ..core.types import Convoy
+from ..data.dataset import BBox
 from ..obs import METRICS
 from ..storage import framedlog
 from ..testing.faults import FAULTS
@@ -43,8 +44,6 @@ from .records import (
     result_key,
     unpack_members,
 )
-
-BBox = Tuple[float, float, float, float]
 
 #: Subdirectory of a catalog dir holding the cold segments.
 COLD_DIR = "cold"

@@ -1,4 +1,4 @@
-"""Spatial indexes: grid and kd-tree agree with brute force."""
+"""Spatial indexes: the grid agrees with brute force."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.clustering import BruteForceIndex, GridIndex, KDTree
+from repro.clustering import BruteForceIndex, GridIndex
 from repro.clustering.neighbors import pairwise_neighbor_lists
 
 coords = arrays(
@@ -51,18 +51,6 @@ def test_grid_matches_brute_force(seed, eps):
         )
 
 
-@pytest.mark.parametrize("seed", range(5))
-@pytest.mark.parametrize("eps", [1.0, 5.0, 20.0])
-def test_kdtree_matches_brute_force(seed, eps):
-    xs, ys = _points(seed)
-    tree = KDTree(xs, ys)
-    brute = BruteForceIndex(xs, ys)
-    for i in range(len(xs)):
-        assert sorted(tree.neighbors(i, eps).tolist()) == sorted(
-            brute.neighbors(i, eps).tolist()
-        )
-
-
 def test_grid_rejects_queries_beyond_cell_size():
     xs, ys = _points(0, n=10)
     grid = GridIndex(xs, ys, 2.0)
@@ -75,39 +63,15 @@ def test_grid_rejects_nonpositive_eps():
         GridIndex(np.zeros(2), np.zeros(2), 0.0)
 
 
-def test_kdtree_handles_duplicates():
-    xs = np.array([1.0, 1.0, 1.0, 5.0])
-    ys = np.array([2.0, 2.0, 2.0, 5.0])
-    tree = KDTree(xs, ys)
-    assert set(tree.neighbors(0, 0.1).tolist()) == {0, 1, 2}
-
-
-def test_kdtree_empty():
-    tree = KDTree(np.empty(0), np.empty(0))
-    assert len(tree) == 0
-    assert tree.range_query(0.0, 0.0, 10.0).size == 0
-
-
-def test_kdtree_large_set_no_recursion_error():
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(0, 1000, size=(5000, 2))
-    tree = KDTree(pts[:, 0], pts[:, 1])
-    hits = tree.range_query(500.0, 500.0, 30.0)
-    brute = BruteForceIndex(pts[:, 0], pts[:, 1])
-    dx, dy = pts[:, 0] - 500.0, pts[:, 1] - 500.0
-    expected = np.flatnonzero(dx * dx + dy * dy <= 900.0)
-    assert sorted(hits.tolist()) == sorted(expected.tolist())
-
-
 @given(st.integers(0, 10_000), st.floats(0.5, 30.0))
 @settings(max_examples=25, deadline=None)
-def test_property_grid_and_kdtree_agree(seed, eps):
+def test_property_grid_and_brute_force_agree(seed, eps):
     xs, ys = _points(seed, n=30)
     grid = GridIndex(xs, ys, eps)
-    tree = KDTree(xs, ys)
+    brute = BruteForceIndex(xs, ys)
     for i in range(len(xs)):
         assert sorted(grid.neighbors(i, eps).tolist()) == sorted(
-            tree.neighbors(i, eps).tolist()
+            brute.neighbors(i, eps).tolist()
         )
 
 

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import mine_oracle, mine_vcoda_star
-from repro.core import ConvoyQuery, K2Hop, mine_convoys
+from repro.core import ConvoyQuery, K2Hop
 from repro.data import Dataset, plant_convoys, random_walk_dataset
 
 
@@ -89,7 +89,8 @@ class TestPlantedRecovery:
             n_convoys=2, convoy_size=4, convoy_duration=40, n_noise=120,
             duration=200, extent=5000.0, seed=5,
         )
-        result = mine_convoys(workload.dataset, m=3, k=30, eps=workload.eps)
+        query = ConvoyQuery(m=3, k=30, eps=workload.eps)
+        result = K2Hop(query).mine(workload.dataset)
         # Benchmark snapshots alone cost 1/hop of the data; with k=30
         # (hop 15) everything beyond that floor should be pruned away.
         assert result.stats.pruning_ratio > 0.88
@@ -126,17 +127,17 @@ class TestStats:
 
 class TestEdgeCases:
     def test_empty_dataset(self):
-        result = mine_convoys(Dataset.empty(), m=2, k=3, eps=1.0)
+        result = K2Hop(ConvoyQuery(m=2, k=3, eps=1.0)).mine(Dataset.empty())
         assert result.convoys == [] and len(result) == 0
 
     def test_dataset_shorter_than_k(self):
         ds = random_walk_dataset(n_objects=5, duration=4, seed=0)
-        result = mine_convoys(ds, m=2, k=10, eps=5.0)
+        result = K2Hop(ConvoyQuery(m=2, k=10, eps=5.0)).mine(ds)
         assert result.convoys == []
 
     def test_single_timestamp_dataset(self):
         ds = Dataset.from_records([(0, 5, 0.0, 0.0), (1, 5, 1.0, 0.0)])
-        result = mine_convoys(ds, m=2, k=1, eps=2.0)
+        result = K2Hop(ConvoyQuery(m=2, k=1, eps=2.0)).mine(ds)
         assert result.convoys == [  # one snapshot, one cluster, k=1
             type(result.convoys[0]).of([0, 1], 5, 5)
         ] if result.convoys else result.convoys == []

@@ -1,10 +1,19 @@
 """Store-level integration: every backend serves identical mining results."""
 
+import os
+
 import pytest
 
 from repro.core import ConvoyQuery, K2Hop
 from repro.data import plant_convoys
-from repro.storage import FlatFileStore, LSMTStore, MemoryStore, RelationalStore
+from repro.storage import (
+    STORE_KINDS,
+    FlatFileStore,
+    LSMTStore,
+    MemoryStore,
+    RelationalStore,
+    build_store,
+)
 
 
 @pytest.fixture(scope="module")
@@ -151,3 +160,23 @@ class TestFlatFileStore:
     def test_num_points_from_file_size(self, workload, tmp_path):
         store = FlatFileStore.create(str(tmp_path / "flat3.bin"), workload.dataset)
         assert store.num_points == workload.dataset.num_points
+
+
+class TestBuildStore:
+    @pytest.mark.parametrize("kind", STORE_KINDS)
+    def test_every_kind_builds_and_mines_the_same(
+        self, workload, query, expected, tmp_path, kind
+    ):
+        store = build_store(kind, workload.dataset, str(tmp_path))
+        try:
+            assert K2Hop(query).mine(store).convoys == expected
+        finally:
+            store.close()
+        # memory writes nothing; each on-disk kind writes one entry
+        assert len(os.listdir(tmp_path)) == (kind != "memory")
+
+    def test_rejects_unknown_kind_and_missing_directory(self, workload):
+        with pytest.raises(ValueError, match="unknown trajectory store"):
+            build_store("papyrus", workload.dataset, "unused")
+        with pytest.raises(ValueError, match="needs a directory"):
+            build_store("lsmt", workload.dataset)
