@@ -10,7 +10,9 @@ import os
 
 import pytest
 
+import repro.storage
 from repro.api import (
+    SOURCE_STORE_KINDS,
     ConvoySession,
     SessionResult,
     get_miner,
@@ -19,7 +21,7 @@ from repro.api import (
 from repro.core import ConvoyQuery
 from repro.core.types import Convoy, sort_convoys
 from repro.data import plant_convoys, save_csv
-from repro.storage import MemoryStore
+from repro.storage import STORE_KINDS, MemoryStore
 
 #: Small enough for the brute-force oracle (10 objects), rich enough for
 #: every miner to find both planted convoys.
@@ -163,6 +165,42 @@ class TestBatchMode:
         result = session.read_from("lsmt").mine()
         assert result.convoys == k2hop_convoys
         assert result.source_io is not None  # I/O counters captured
+
+    @pytest.mark.parametrize("kind", STORE_KINDS)
+    def test_every_store_kind_matches(self, session, k2hop_convoys, kind):
+        result = session.read_from(kind).mine()
+        assert result.convoys == k2hop_convoys
+        # only a store built for the mine has I/O counters to report
+        assert (result.source_io is None) == (kind == "memory")
+
+    def test_source_store_kinds_are_the_storage_kinds(self):
+        assert SOURCE_STORE_KINDS == STORE_KINDS
+
+    def test_unknown_store_kind_raises_eagerly(self, session):
+        with pytest.raises(ValueError, match="unknown trajectory store"):
+            session.read_from("papyrus")
+
+    def test_store_without_path_is_removed_after_the_mine(
+        self, session, k2hop_convoys, monkeypatch, tmp_path
+    ):
+        build_store = repro.storage.build_store
+        built_in = []
+
+        def recording_build_store(kind, dataset, directory=None):
+            built_in.append(directory)
+            return build_store(kind, dataset, directory)
+
+        monkeypatch.setattr(repro.storage, "build_store", recording_build_store)
+        monkeypatch.setattr("tempfile.tempdir", str(tmp_path))
+        assert session.read_from("rdbms").mine().convoys == k2hop_convoys
+        assert len(built_in) == 1
+        assert os.path.dirname(built_in[0]) == str(tmp_path)
+        assert os.listdir(tmp_path) == []
+
+    def test_store_at_a_path_is_kept(self, session, k2hop_convoys, tmp_path):
+        result = session.read_from("rdbms", str(tmp_path)).mine()
+        assert result.convoys == k2hop_convoys
+        assert os.listdir(tmp_path) == ["data.db"]
 
     def test_needs_dataset_guard_for_bare_sources(self, workload):
         store = MemoryStore(workload.dataset)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cli import main
 from repro.data import load_csv
+from repro.storage import STORE_KINDS
 
 
 @pytest.fixture()
@@ -51,6 +52,14 @@ class TestMine:
                      "--eps", "10.0"]) == 0
         with_memory = capsys.readouterr().out
         assert with_store.splitlines()[:-1] == with_memory.splitlines()[:-1]
+
+    def test_unknown_store_rejected_with_the_store_kinds(self, planted_csv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["mine", planted_csv, "-m", "3", "-k", "10",
+                  "--eps", "10.0", "--store", "papyrus"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert all(repr(kind) in err for kind in STORE_KINDS)
 
     def test_stats_flag(self, planted_csv, capsys):
         assert main(["mine", planted_csv, "-m", "3", "-k", "10", "--eps", "10.0",

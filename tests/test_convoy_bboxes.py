@@ -95,9 +95,8 @@ def test_feed_short_history_bboxes_cover_the_window(workload):
     assert outran, "no convoy outran the window; the case tests nothing"
 
 
-def test_persisted_mine_bboxes_cover_whole_lifetimes(workload, tmp_path):
-    directory = str(tmp_path / "idx")
-    mined = _session(workload).store("lsm", directory).mine()
+def _assert_persisted_bboxes_cover_whole_lifetimes(workload, session, directory):
+    mined = session.store("lsm", directory).mine()
     service = ConvoySession.open(directory)
     try:
         records = service.index.records()
@@ -108,3 +107,19 @@ def test_persisted_mine_bboxes_cover_whole_lifetimes(workload, tmp_path):
         expected = _brute_bbox(workload.dataset, record.convoy, record.convoy.start)
         assert expected is not None
         assert record.bbox == expected, record.convoy
+
+
+def test_persisted_mine_bboxes_cover_whole_lifetimes(workload, tmp_path):
+    _assert_persisted_bboxes_cover_whole_lifetimes(
+        workload, _session(workload), str(tmp_path / "idx")
+    )
+
+
+@pytest.mark.parametrize("kind", ["file", "rdbms", "lsmt"])
+def test_persisted_mine_through_a_store_bboxes_cover_whole_lifetimes(
+    workload, tmp_path, kind
+):
+    """Mining through an on-disk store still bounds from the dataset."""
+    _assert_persisted_bboxes_cover_whole_lifetimes(
+        workload, _session(workload).read_from(kind), str(tmp_path / "idx")
+    )

@@ -3,7 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.data import Dataset, load_csv, load_npz, save_csv, save_npz
+from repro.core.types import Convoy
+from repro.data import (
+    Dataset,
+    load_csv,
+    load_npz,
+    random_walk_dataset,
+    save_csv,
+    save_npz,
+)
 
 
 @pytest.fixture()
@@ -94,6 +102,41 @@ class TestRestriction:
     def test_concat(self, dataset):
         doubled = dataset.concat(dataset)
         assert doubled.num_points == 2 * dataset.num_points
+
+
+class TestMemberBBox:
+    """``member_bbox``: the extent the convoy index stores for a convoy."""
+
+    def test_spans_every_member_row_of_the_lifetime(self, dataset):
+        assert dataset.member_bbox(Convoy.of([1, 2], 0, 1)) == (0.5, 0.5, 5.0, 6.0)
+
+    def test_rows_outside_the_lifetime_are_ignored(self, dataset):
+        assert dataset.member_bbox(Convoy.of([1, 2], 1, 1)) == (3.0, 4.0, 5.0, 6.0)
+
+    def test_rows_of_other_objects_are_ignored(self, dataset):
+        assert dataset.member_bbox(Convoy.of([1], 0, 2)) == (1.0, 2.0, 3.0, 4.0)
+
+    def test_none_when_no_member_row_falls_in_the_lifetime(self, dataset):
+        assert dataset.member_bbox(Convoy.of([1, 2], 2, 2)) is None
+        assert dataset.member_bbox(Convoy.of([7, 8], 0, 2)) is None
+        assert Dataset.empty().member_bbox(Convoy.of([1, 2], 0, 5)) is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_brute_force_min_max(self, seed):
+        ds = random_walk_dataset(n_objects=12, duration=30, seed=seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            members = rng.choice(ds.objects(), size=3, replace=False).tolist()
+            start = int(rng.integers(ds.start_time, ds.end_time + 1))
+            end = int(rng.integers(start, ds.end_time + 1))
+            keep = (
+                np.isin(ds.oids, members) & (ds.ts >= start) & (ds.ts <= end)
+            )
+            expected = (
+                float(ds.xs[keep].min()), float(ds.ys[keep].min()),
+                float(ds.xs[keep].max()), float(ds.ys[keep].max()),
+            )
+            assert ds.member_bbox(Convoy.of(members, start, end)) == expected
 
 
 class TestEquality:

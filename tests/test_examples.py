@@ -1,10 +1,13 @@
 """Every example script must run end to end (reduced wall time guards)."""
 
+import importlib.util
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+import repro.storage
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
 
@@ -34,6 +37,26 @@ def test_quickstart_finds_planted_convoys():
     )
     assert "mined fully connected convoys" in result.stdout
     assert "convoys found" in result.stdout
+
+
+def test_storage_backends_fails_when_a_backend_disagrees(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "storage_backends", EXAMPLES / "storage_backends.py"
+    )
+    example = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(example)
+    build_store = repro.storage.build_store
+
+    def lossy_lsmt(kind, dataset, directory=None):
+        if kind == "lsmt":  # a backend that kept only the first tick
+            dataset = dataset.restrict_time(dataset.start_time, dataset.start_time)
+        return build_store(kind, dataset, directory)
+
+    monkeypatch.setattr(repro.storage, "build_store", lossy_lsmt)
+    assert example.main() == 1
+    captured = capsys.readouterr()
+    assert captured.out.count("[DIFF]") == 1
+    assert "['lsmt']" in captured.err
 
 
 @pytest.mark.slow

@@ -63,6 +63,29 @@ def test_grid_rejects_nonpositive_eps():
         GridIndex(np.zeros(2), np.zeros(2), 0.0)
 
 
+def test_grid_handles_duplicates():
+    xs = np.array([1.0, 1.0, 1.0, 5.0])
+    ys = np.array([2.0, 2.0, 2.0, 5.0])
+    grid = GridIndex(xs, ys, 0.1)
+    assert set(grid.neighbors(0, 0.1).tolist()) == {0, 1, 2}
+    assert set(grid.neighbors(3, 0.1).tolist()) == {3}
+
+
+def test_grid_empty():
+    grid = GridIndex(np.empty(0), np.empty(0), 1.0)
+    assert len(grid) == 0
+
+
+def test_grid_large_set_matches_brute_force():
+    rng = np.random.default_rng(0)
+    pts = rng.uniform(0, 1000, size=(5000, 2))
+    grid = GridIndex(pts[:, 0], pts[:, 1], 30.0)
+    for i in range(0, 5000, 97):
+        dx, dy = pts[:, 0] - pts[i, 0], pts[:, 1] - pts[i, 1]
+        expected = np.flatnonzero(dx * dx + dy * dy <= 900.0)
+        assert sorted(grid.neighbors(i, 30.0).tolist()) == expected.tolist()
+
+
 @given(st.integers(0, 10_000), st.floats(0.5, 30.0))
 @settings(max_examples=25, deadline=None)
 def test_property_grid_and_brute_force_agree(seed, eps):

@@ -10,6 +10,8 @@ from repro.core import ConvoyQuery, K2Hop, sort_convoys
 from repro.data import random_walk_dataset
 from repro.extensions import StreamingConvoyMonitor
 from repro.service import ConvoyIngestService, GridSharder
+from repro.service.durability import STAT_FIELDS
+from repro.service.ingest import _collect_ingest
 from tests.conftest import make_line_dataset
 
 
@@ -190,6 +192,15 @@ class TestServiceBookkeeping:
         (record,) = [r for r in records if r is not None]
         assert record.bbox == (0.0, 0.0, 4.0, 1.0)
 
+    def test_no_bbox_without_history(self):
+        query = ConvoyQuery(m=2, k=3, eps=2.0)
+        service = ConvoyIngestService(query, history=0)
+        for t in range(4):
+            service.observe(t, [1, 2], [float(t), float(t) + 1.0], [0.0, 1.0])
+        service.finish()
+        (record,) = service.index.records()
+        assert record.bbox is None
+
     def test_single_shard_runs_one_chain_only(self):
         """With one shard the global chain doubles as shard 0 — no
         duplicate candidate maintenance."""
@@ -212,6 +223,23 @@ class TestServiceBookkeeping:
         assert service.stats.points == 4
         assert service.stats.closed_convoys == 1
         assert service.stats.indexed_convoys == 1
+
+    def test_registry_exports_every_checkpointed_counter(self):
+        query = ConvoyQuery(m=2, k=2, eps=2.0)
+        service = ConvoyIngestService(query)
+        service.observe(0, [1, 2], [0.0, 1.0], [0.0, 0.0])
+        service.observe(1, [1, 2], [0.0, 1.0], [0.0, 0.0])
+        service.finish()
+        counters = {
+            name: value
+            for name, kind, _help, _labels, value in _collect_ingest(service)
+            if kind == "counter"
+        }
+        assert counters == {
+            f"repro_ingest_{field}_total": float(getattr(service.stats, field))
+            for field in STAT_FIELDS
+        }
+        assert counters["repro_ingest_ticks_total"] == 2.0
 
 
 class TestWorkerThreads:

@@ -175,6 +175,24 @@ class TestBuildStore:
         # memory writes nothing; each on-disk kind writes one entry
         assert len(os.listdir(tmp_path)) == (kind != "memory")
 
+    @pytest.mark.parametrize(
+        "kind, entry", [("file", "data.bin"), ("rdbms", "data.db"), ("lsmt", "lsm")]
+    )
+    def test_on_disk_kind_writes_its_named_entry(
+        self, workload, tmp_path, kind, entry
+    ):
+        store = build_store(kind, workload.dataset, str(tmp_path))
+        try:
+            assert os.listdir(tmp_path) == [entry]
+            assert store.num_points == workload.dataset.num_points
+        finally:
+            store.close()
+
+    def test_memory_needs_no_directory(self, workload):
+        store = build_store("memory", workload.dataset)
+        assert isinstance(store, MemoryStore)
+        assert store.num_points == workload.dataset.num_points
+
     def test_rejects_unknown_kind_and_missing_directory(self, workload):
         with pytest.raises(ValueError, match="unknown trajectory store"):
             build_store("papyrus", workload.dataset, "unused")

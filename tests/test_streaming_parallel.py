@@ -3,6 +3,7 @@
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.baselines import mine_pccd
@@ -75,6 +76,101 @@ class TestStreamingMonitor:
         monitor = StreamingConvoyMonitor(ConvoyQuery(m=2, k=2, eps=1.0))
         assert monitor.finish() == []
         assert monitor.closed_convoys == []
+
+
+def _walk_together(monitor, ticks):
+    """Objects 1 and 2 move side by side (1 at x=t, 2 at x=t+1, y=1);
+    object 3 stays far away and never joins them."""
+    for t in ticks:
+        emitted = monitor.observe(
+            t, [1, 2, 3], [float(t), t + 1.0, 100.0], [0.0, 1.0, 0.0]
+        )
+        assert emitted == [] and monitor.last_bboxes == []
+
+
+class TestStreamingBBoxes:
+    """``last_bboxes``: the members' extent for every convoy a call returned."""
+
+    QUERY = ConvoyQuery(m=2, k=3, eps=2.0)
+
+    def _split(self, monitor, t):
+        return monitor.observe(t, [1, 2], [0.0, 500.0], [0.0, 0.0])
+
+    def test_close_reports_the_members_extent(self):
+        monitor = StreamingConvoyMonitor(self.QUERY, history=10)
+        _walk_together(monitor, range(4))
+        emitted = self._split(monitor, 4)
+        assert [c.interval.end for c in emitted] == [3]
+        assert monitor.last_bboxes == [(0.0, 0.0, 4.0, 1.0)]
+
+    def test_history_zero_gives_no_bbox(self):
+        monitor = StreamingConvoyMonitor(self.QUERY, history=0)
+        _walk_together(monitor, range(4))
+        assert len(self._split(monitor, 4)) == 1
+        assert monitor.last_bboxes == [None]
+
+    def test_a_call_that_closes_nothing_clears_them(self):
+        monitor = StreamingConvoyMonitor(self.QUERY, history=10)
+        _walk_together(monitor, range(4))
+        self._split(monitor, 4)
+        assert monitor.observe(5, [1, 2], [0.0, 500.0], [0.0, 0.0]) == []
+        assert monitor.last_bboxes == []
+
+    def test_finish_reports_bboxes(self):
+        monitor = StreamingConvoyMonitor(self.QUERY, history=10)
+        _walk_together(monitor, range(5))
+        assert len(monitor.finish()) == 1
+        assert monitor.last_bboxes == [(0.0, 0.0, 5.0, 1.0)]
+
+    def test_gap_closes_report_bboxes(self):
+        monitor = StreamingConvoyMonitor(self.QUERY, history=10)
+        _walk_together(monitor, range(3))
+        emitted = monitor.observe(10, [1, 2], [50.0, 51.0], [50.0, 50.0])
+        assert len(emitted) == 1
+        # the tick that revealed the gap lies outside the closed lifetime
+        assert monitor.last_bboxes == [(0.0, 0.0, 3.0, 1.0)]
+
+    def test_convoy_that_outran_the_window_is_bounded_over_the_window(self):
+        monitor = StreamingConvoyMonitor(self.QUERY, history=3)
+        _walk_together(monitor, range(6))
+        emitted = self._split(monitor, 6)
+        # emitted unvalidated with its whole lifetime, bounded over the
+        # ticks 4 and 5 that the window still holds
+        assert [(c.interval.start, c.interval.end) for c in emitted] == [(0, 5)]
+        assert monitor.last_bboxes == [(4.0, 0.0, 6.0, 1.0)]
+
+    def test_no_member_row_in_the_window_gives_no_bbox(self):
+        monitor = StreamingConvoyMonitor(self.QUERY, history=1)
+        _walk_together(monitor, range(4))
+        assert len(self._split(monitor, 4)) == 1
+        assert monitor.last_bboxes == [None]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_validated_replay_bboxes_match_brute_force(self, seed):
+        ds = random_walk_dataset(
+            n_objects=9, duration=18, extent=50.0, step=8.0, seed=seed
+        )
+        query = ConvoyQuery(m=3, k=4, eps=13.0)
+        monitor = StreamingConvoyMonitor(
+            query, history=ds.end_time - ds.start_time + 1
+        )
+        pairs = []
+        for t in ds.timestamps().tolist():
+            emitted = monitor.observe(t, *ds.snapshot(t))
+            pairs.extend(zip(emitted, monitor.last_bboxes, strict=True))
+        emitted = monitor.finish()
+        pairs.extend(zip(emitted, monitor.last_bboxes, strict=True))
+        assert pairs
+        for convoy, bbox in pairs:
+            keep = (
+                np.isin(ds.oids, sorted(convoy.objects))
+                & (ds.ts >= convoy.start)
+                & (ds.ts <= convoy.end)
+            )
+            assert bbox == (
+                float(ds.xs[keep].min()), float(ds.ys[keep].min()),
+                float(ds.xs[keep].max()), float(ds.ys[keep].max()),
+            ), convoy
 
 
 class TestParallelMiner:
